@@ -47,14 +47,12 @@ let default_config ~seed ~qset =
 type slot_timing = {
   mutable t_trigger : float;
   mutable t_first_ballot : float option;
-  mutable externalized : bool;
 }
 
 type t = {
   config : config;
   cb : callbacks;
   obs : Stellar_obs.Sink.t;
-  secret : Stellar_crypto.Sim_sig.secret;
   id : Scp.Types.node_id;
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
@@ -85,7 +83,7 @@ let timing t slot =
   match Hashtbl.find_opt t.timings slot with
   | Some x -> x
   | None ->
-      let x = { t_trigger = t.cb.now (); t_first_ballot = None; externalized = false } in
+      let x = { t_trigger = t.cb.now (); t_first_ballot = None } in
       Hashtbl.add t.timings slot x;
       x
 
@@ -204,7 +202,6 @@ let rec close_ledger t slot (v : Value.t) =
       Scp.Protocol.purge_slots t.scp ~below:(slot - 32);
       (* stats *)
       let tm = timing t slot in
-      tm.externalized <- true;
       let now = t.cb.now () in
       let first_ballot = Option.value ~default:now tm.t_first_ballot in
       t.cb.on_ledger_closed
@@ -314,7 +311,6 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
          config;
          cb;
          obs;
-         secret;
          id;
          scp = Scp.Protocol.create ~driver ~local_id:id ~qset:config.qset;
          queue = Tx_queue.create ();

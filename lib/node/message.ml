@@ -19,9 +19,9 @@ let xdr =
       | 2 -> Tx_msg (Stellar_ledger.Tx.signed_xdr.Xdr.read r)
       | _ -> raise (Xdr.Error "Message: bad discriminant"))
 
-(* Global encode counter: the flood path is supposed to serialize each
-   message exactly once (encode → hash for dedup → same bytes on the wire),
-   and the regression test pins that invariant here. *)
+(* Global encode counter: the flood path serializes each message once,
+   network-wide (in [wire], at the flood origin), and the regression test
+   pins that invariant here. *)
 let encode_calls = ref 0
 let encode_count () = !encode_calls
 
@@ -31,9 +31,16 @@ let encode m =
 
 let decode s = Xdr.decode xdr s
 
-let size m = Xdr.encoded_length xdr m
+type wire = { msg : t; size : int; key : string }
 
-let dedup_key m = Stellar_crypto.Sha256.digest (encode m)
+(* The bytes are dropped once hashed and measured: every in-flight delivery
+   shares this record, and pinning the full encoding there would grow the
+   heap with the number of copies in flight. *)
+let wire msg =
+  let encoded = encode msg in
+  { msg; size = String.length encoded; key = Stellar_crypto.Sha256.digest encoded }
+
+let dedup_key m = (wire m).key
 
 let kind_name = function
   | Envelope _ -> "envelope"

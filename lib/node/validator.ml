@@ -1,7 +1,7 @@
 module Obs = Stellar_obs
 
 type t = {
-  network : Message.t Stellar_sim.Network.t;
+  network : Message.wire Stellar_sim.Network.t;
   index : int;
   peers : int list;
   config : Stellar_herder.Herder.config;
@@ -72,13 +72,11 @@ let prune_seen t ~upto =
 
 (* [force] lets a node re-broadcast its own identical message (a straggler
    re-announcing its last statement must not be silenced by its own dedup
-   table).  [encoded] is the message's canonical bytes, produced exactly once
-   by the caller: dedup key and wire size both come from it. *)
-let flood_encoded t ?except ?(force = false) ~encoded msg =
-  let key = Stellar_crypto.Sha256.digest encoded in
-  if force || not (Hashtbl.mem t.seen key) then begin
-    Hashtbl.replace t.seen key (expiry_of t msg);
-    let size = String.length encoded in
+   table).  [w] carries the dedup key and wire size computed once at the
+   flood origin; forwarding passes the same record on. *)
+let flood_wire t ?except ?(force = false) (w : Message.wire) =
+  if force || not (Hashtbl.mem t.seen w.key) then begin
+    Hashtbl.replace t.seen w.key (expiry_of t w.msg);
     (* One monotone id per flood decision: every fanout copy carries it, so
        each Flood_recv downstream names this exact Flood_send (the causal
        edge the critical-path report walks). *)
@@ -89,30 +87,29 @@ let flood_encoded t ?except ?(force = false) ~encoded msg =
         if Some peer <> except && peer <> t.index then begin
           incr fanout;
           t.floods_forwarded <- t.floods_forwarded + 1;
-          Stellar_sim.Network.send t.network ~src:t.index ~dst:peer ~size ~msg_id msg
+          Stellar_sim.Network.send t.network ~src:t.index ~dst:peer ~size:w.size ~msg_id w
         end)
       t.peers;
     if Obs.Sink.enabled t.obs then begin
       Obs.Sink.add t.obs "flood.forwarded" !fanout;
       Obs.Sink.emit t.obs
         (Obs.Event.Flood_send
-           { kind = Message.kind_name msg; bytes = size; fanout = !fanout; msg_id })
+           { kind = Message.kind_name w.msg; bytes = w.size; fanout = !fanout; msg_id })
     end
   end
 
-let flood t ?except ?force msg =
-  flood_encoded t ?except ?force ~encoded:(Message.encode msg) msg
+let flood t ?force msg = flood_wire t ?force (Message.wire msg)
 
 (* Point-to-point (non-flooded) send, used for straggler help: still tagged
    and traced as a fanout-1 Flood_send so every delivery in the trace
    resolves to exactly one send. *)
 let send_direct t ~dst msg =
-  let size = Message.size msg in
+  let w = Message.wire msg in
   let msg_id = Stellar_sim.Network.alloc_msg_id t.network in
   if Obs.Sink.enabled t.obs then
     Obs.Sink.emit t.obs
-      (Obs.Event.Flood_send { kind = Message.kind_name msg; bytes = size; fanout = 1; msg_id });
-  Stellar_sim.Network.send t.network ~src:t.index ~dst ~size ~msg_id msg
+      (Obs.Event.Flood_send { kind = Message.kind_name msg; bytes = w.size; fanout = 1; msg_id });
+  Stellar_sim.Network.send t.network ~src:t.index ~dst ~size:w.size ~msg_id w
 
 (* A peer still voting on a slot we already closed gets our retained
    envelopes (and the tx sets they reference) directly — the §6 fix. *)
@@ -135,22 +132,21 @@ let maybe_help_straggler t ~src env =
     List.iter (fun e -> send_direct t ~dst:src (Message.Envelope e)) envs
   end
 
-let handle t ~src ~(info : Stellar_sim.Network.delivery) msg =
+(* A delivery is never re-encoded or re-hashed: the dedup key, the traced
+   byte counts and the forwarded record all come from the sender's [w]. *)
+let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
   if t.crashed then ()
   else begin
     t.floods_seen <- t.floods_seen + 1;
-    (* Encode exactly once per delivery: the dedup key, the traced byte
-       counts and (on forward) the wire size all come from these bytes. *)
-    let encoded = Message.encode msg in
-    let key = Stellar_crypto.Sha256.digest encoded in
-    if not (Hashtbl.mem t.seen key) then begin
+    let msg = w.msg in
+    if not (Hashtbl.mem t.seen w.key) then begin
       if Obs.Sink.enabled t.obs then begin
         Obs.Sink.incr t.obs "flood.unique";
         Obs.Sink.emit t.obs
           (Obs.Event.Flood_recv
              {
                kind = Message.kind_name msg;
-               bytes = String.length encoded;
+               bytes = w.size;
                src;
                send_id = info.Stellar_sim.Network.msg_id;
                link_s = info.Stellar_sim.Network.link_s;
@@ -177,13 +173,13 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) msg =
           maybe_help_straggler t ~src env
       | Message.Tx_set_msg ts -> Stellar_herder.Herder.receive_tx_set t.herder ts
       | Message.Tx_msg signed -> ignore (Stellar_herder.Herder.receive_tx t.herder signed));
-      flood_encoded t ~except:src ~encoded msg
+      flood_wire t ~except:src w
     end
     else if Obs.Sink.enabled t.obs then begin
-      let bytes = String.length encoded in
       Obs.Sink.incr t.obs "flood.dup_dropped";
-      Obs.Sink.add t.obs "flood.dup_bytes" bytes;
-      Obs.Sink.emit t.obs (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes })
+      Obs.Sink.add t.obs "flood.dup_bytes" w.size;
+      Obs.Sink.emit t.obs
+        (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes = w.size })
     end
   end
 
@@ -349,12 +345,17 @@ let restart ?archive t =
 
 (* Byzantine-style pressure: re-broadcast our latest envelopes [copies]
    times, bypassing our own dedup table.  Correct peers drop every copy
-   after the first — the interesting measurement is the wasted bytes. *)
+   after the first — the interesting measurement is the wasted bytes.  Each
+   envelope's wire record is built once and reused for every copy. *)
 let reflood t ~copies =
   if not t.crashed then begin
     Obs.Sink.incr t.obs "fault.refloods";
-    let envs = Stellar_herder.Herder.recent_envelopes t.herder in
+    let ws =
+      List.map
+        (fun e -> Message.wire (Message.Envelope e))
+        (Stellar_herder.Herder.recent_envelopes t.herder)
+    in
     for _ = 1 to copies do
-      List.iter (fun e -> flood t ~force:true (Message.Envelope e)) envs
+      List.iter (flood_wire t ~force:true) ws
     done
   end

@@ -5,7 +5,7 @@
 type t
 
 val create :
-  network:Message.t Stellar_sim.Network.t ->
+  network:Message.wire Stellar_sim.Network.t ->
   index:int ->
   peers:int list ->
   config:Stellar_herder.Herder.config ->
@@ -17,7 +17,11 @@ val create :
   ?obs:Stellar_obs.Sink.t ->
   unit ->
   t
-(** [obs] (default disabled) instruments the flood path — [Flood_send],
+(** [network] carries {!Message.wire} records: a message's dedup key and
+    wire size are computed once where it is first flooded, and every hop
+    dedups on and forwards that same record.
+
+    [obs] (default disabled) instruments the flood path — [Flood_send],
     [Flood_recv] and [Dedup_drop] events plus [flood.*] counters — and is
     passed down to the herder/SCP/ledger stack. *)
 

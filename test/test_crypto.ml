@@ -50,6 +50,20 @@ let sha_tests =
         check string "equal"
           (Hex.encode (Sha256.digest "foobarbaz"))
           (Hex.encode (Sha256.digest_list [ "foo"; "bar"; "baz" ])));
+    test_case "sha256 every split of lengths 0..130 = one-shot" `Quick (fun () ->
+        (* covers the 55/56/63/64-byte padding edges, whole-block updates
+           straight from the input, and top-ups of a partial buffer *)
+        for len = 0 to 130 do
+          let msg = String.init len (fun i -> Char.chr (((i * 7) + len) land 255)) in
+          let expected = Sha256.digest msg in
+          for split = 0 to len do
+            let ctx = Sha256.init () in
+            Sha256.update ctx (String.sub msg 0 split);
+            Sha256.update ctx (String.sub msg split (len - split));
+            if Sha256.final ctx <> expected then
+              fail (Printf.sprintf "len %d split %d differs from one-shot" len split)
+          done
+        done);
   ]
 
 (* ---------- Nat bignum properties ---------- *)

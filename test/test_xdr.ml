@@ -452,9 +452,9 @@ let accounting_tests =
             (String.length (Stellar_herder.Tx_set.encode ts))
             (Stellar_herder.Tx_set.size_bytes ts);
           let m = gen_message () in
-          check int "message size"
+          check int "message wire size"
             (String.length (Stellar_node.Message.encode m))
-            (Stellar_node.Message.size m)
+            (Stellar_node.Message.wire m).Stellar_node.Message.size
         done);
   ]
 
