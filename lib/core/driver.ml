@@ -27,6 +27,8 @@ type t = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
   hooks : hooks;
   obs : Stellar_obs.Sink.t;
+  nominate_start : Stellar_obs.Registry.counter;
+  envelope_counter : Types.pledge -> Stellar_obs.Registry.counter;
 }
 
 let default_nomination_timeout ~round = float_of_int (1 + round)
@@ -37,39 +39,56 @@ let default_ballot_timeout ~counter = float_of_int (1 + counter)
 let observe_hooks obs hooks =
   let module S = Stellar_obs.Sink in
   let module E = Stellar_obs.Event in
+  let incr = Stellar_obs.Registry.incr in
   if not (S.enabled obs) then hooks
   else
+    let round = S.counter obs "scp.nomination.round"
+    and bump = S.counter obs "scp.ballot.bump"
+    and timeout_nomination = S.counter obs "scp.timeout.nomination"
+    and timeout_ballot = S.counter obs "scp.timeout.ballot"
+    and confirm = S.counter obs "scp.phase.confirm"
+    and externalize = S.counter obs "scp.phase.externalize" in
     {
       on_nomination_round =
-        (fun ~slot ~round ->
-          S.incr obs "scp.nomination.round";
-          S.emit obs (E.Nomination_round { slot; round });
-          hooks.on_nomination_round ~slot ~round);
+        (fun ~slot ~round:r ->
+          incr round;
+          S.emit obs (E.Nomination_round { slot; round = r });
+          hooks.on_nomination_round ~slot ~round:r);
       on_ballot_bump =
         (fun ~slot ~counter ->
-          S.incr obs "scp.ballot.bump";
+          incr bump;
           S.emit obs (E.Ballot_bump { slot; counter });
           hooks.on_ballot_bump ~slot ~counter);
       on_timeout =
         (fun ~slot ~kind ->
-          S.incr obs
-            (match kind with
-            | `Nomination -> "scp.timeout.nomination"
-            | `Ballot -> "scp.timeout.ballot");
+          incr (match kind with `Nomination -> timeout_nomination | `Ballot -> timeout_ballot);
           S.emit obs (E.Timeout_fired { slot; kind });
           hooks.on_timeout ~slot ~kind);
       on_phase_change =
         (fun ~slot ~phase ->
           (match phase with
           | "confirm" ->
-              S.incr obs "scp.phase.confirm";
+              incr confirm;
               S.emit obs (E.Confirm_prepare { slot })
           | "externalize" ->
-              S.incr obs "scp.phase.externalize";
+              incr externalize;
               S.emit obs (E.Externalize { slot })
           | _ -> ());
           hooks.on_phase_change ~slot ~phase);
     }
+
+(* Received statements are counted per pledge type. *)
+let envelope_counter obs =
+  let c = Stellar_obs.Sink.counter obs in
+  let nominate = c "scp.nominate.recv"
+  and prepare = c "scp.ballot.prepare"
+  and confirm = c "scp.ballot.confirm"
+  and externalize = c "scp.ballot.externalize" in
+  function
+  | Types.Nominate _ -> nominate
+  | Types.Prepare _ -> prepare
+  | Types.Confirm _ -> confirm
+  | Types.Externalize _ -> externalize
 
 let make ~emit_envelope ~sign ~verify ~validate_value ~combine_candidates
     ~value_externalized ~schedule ?(nomination_timeout = default_nomination_timeout)
@@ -87,4 +106,6 @@ let make ~emit_envelope ~sign ~verify ~validate_value ~combine_candidates
     schedule;
     hooks = observe_hooks obs hooks;
     obs;
+    nominate_start = Stellar_obs.Sink.counter obs "scp.nominate.start";
+    envelope_counter = envelope_counter obs;
   }

@@ -34,7 +34,12 @@ type t = {
   hooks : hooks;
   obs : Stellar_obs.Sink.t;
       (** Observability sink; {!Stellar_obs.Sink.null} disables all
-          instrumentation at the cost of one branch per site. *)
+          instrumentation. *)
+  nominate_start : Stellar_obs.Registry.counter;  (** [scp.nominate.start] *)
+  envelope_counter : Types.pledge -> Stellar_obs.Registry.counter;
+      (** Per pledge type of a received statement: [scp.nominate.recv],
+          [scp.ballot.prepare], [scp.ballot.confirm],
+          [scp.ballot.externalize].  Both are resolved once from [obs]. *)
 }
 
 val make :

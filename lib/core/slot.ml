@@ -27,19 +27,12 @@ let nominate t ~value ~prev =
   if Ballot.phase t.ballot = Ballot.Prepare_phase then begin
     let obs = t.driver.Driver.obs in
     if Stellar_obs.Sink.enabled obs then begin
-      Stellar_obs.Sink.incr obs "scp.nominate.start";
+      Stellar_obs.Registry.incr t.driver.Driver.nominate_start;
       Stellar_obs.Sink.emit obs (Stellar_obs.Event.Nominate_start { slot = t.index })
     end;
     Nomination.nominate t.nomination ~value ~prev;
     sync_nomination t
   end
-
-(* Dotted metric name for a received statement's pledge type. *)
-let envelope_metric = function
-  | Types.Nominate _ -> "scp.nominate.recv"
-  | Types.Prepare _ -> "scp.ballot.prepare"
-  | Types.Confirm _ -> "scp.ballot.confirm"
-  | Types.Externalize _ -> "scp.ballot.externalize"
 
 let process_envelope t env =
   let st = env.Types.statement in
@@ -52,7 +45,7 @@ let process_envelope t env =
          ~signature:env.Types.signature)
   then `Invalid
   else begin
-    Stellar_obs.Sink.incr t.driver.Driver.obs (envelope_metric st.Types.pledge);
+    Stellar_obs.Registry.incr (t.driver.Driver.envelope_counter st.Types.pledge);
     let result =
       match st.Types.pledge with
       | Types.Nominate _ -> Nomination.process_envelope t.nomination env

@@ -53,6 +53,8 @@ type t = {
   config : config;
   cb : callbacks;
   obs : Stellar_obs.Sink.t;
+  c_closed : Stellar_obs.Registry.counter;  (* ledger.closed *)
+  g_queue : Stellar_obs.Registry.gauge;  (* herder.queue.size *)
   id : Scp.Types.node_id;
   scp : Scp.Protocol.t;
   queue : Tx_queue.t;
@@ -182,9 +184,9 @@ let rec close_ledger t slot (v : Value.t) =
         Stellar_obs.Sink.emit t.obs
           (Stellar_obs.Event.Apply_end
              { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts });
-        Stellar_obs.Sink.observe t.obs "ledger.apply_ms" (apply_s *. 1000.0);
-        Stellar_obs.Sink.incr t.obs "ledger.closed"
+        Stellar_obs.Sink.observe t.obs "ledger.apply_ms" (apply_s *. 1000.0)
       end;
+      Stellar_obs.Registry.incr t.c_closed;
       t.state <- state';
       t.buckets <- buckets';
       t.headers <- header :: t.headers;
@@ -196,9 +198,7 @@ let rec close_ledger t slot (v : Value.t) =
             Stellar_obs.Sink.emit t.obs
               (Stellar_obs.Event.Tx_dropped { tx = tx_hex signed; reason = `Stale }))
           purged;
-      if Stellar_obs.Sink.enabled t.obs then
-        Stellar_obs.Sink.set_gauge t.obs "herder.queue.size"
-          (float_of_int (Tx_queue.size t.queue));
+      Stellar_obs.Registry.set t.g_queue (float_of_int (Tx_queue.size t.queue));
       Scp.Protocol.purge_slots t.scp ~below:(slot - 32);
       (* stats *)
       let tm = timing t slot in
@@ -311,6 +311,8 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
          config;
          cb;
          obs;
+         c_closed = Stellar_obs.Sink.counter obs "ledger.closed";
+         g_queue = Stellar_obs.Sink.gauge obs "herder.queue.size";
          id;
          scp = Scp.Protocol.create ~driver ~local_id:id ~qset:config.qset;
          queue = Tx_queue.create ();

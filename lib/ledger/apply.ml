@@ -663,17 +663,25 @@ let apply_tx ctx state signed =
       (* Atomicity: roll back to the post-fee state on any failure. *)
       (match outcome with Tx_success _ -> (applied, outcome) | _ -> (fee_state, outcome))
 
-let outcome_metric = function
-  | Tx_success _ -> "ledger.tx.success"
-  | Tx_failed _ -> "ledger.tx.failed"
-  | Tx_no_source -> "ledger.tx.no_source"
-  | Tx_bad_seq -> "ledger.tx.bad_seq"
-  | Tx_bad_auth -> "ledger.tx.bad_auth"
-  | Tx_insufficient_fee -> "ledger.tx.insufficient_fee"
-  | Tx_insufficient_balance -> "ledger.tx.insufficient_balance"
-  | Tx_too_early -> "ledger.tx.too_early"
-  | Tx_too_late -> "ledger.tx.too_late"
-  | Tx_malformed -> "ledger.tx.malformed"
+(* Per-outcome counter names, indexed by [outcome_index]. *)
+let outcome_metrics =
+  [|
+    "ledger.tx.success"; "ledger.tx.failed"; "ledger.tx.no_source"; "ledger.tx.bad_seq";
+    "ledger.tx.bad_auth"; "ledger.tx.insufficient_fee"; "ledger.tx.insufficient_balance";
+    "ledger.tx.too_early"; "ledger.tx.too_late"; "ledger.tx.malformed";
+  |]
+
+let outcome_index = function
+  | Tx_success _ -> 0
+  | Tx_failed _ -> 1
+  | Tx_no_source -> 2
+  | Tx_bad_seq -> 3
+  | Tx_bad_auth -> 4
+  | Tx_insufficient_fee -> 5
+  | Tx_insufficient_balance -> 6
+  | Tx_too_early -> 7
+  | Tx_too_late -> 8
+  | Tx_malformed -> 9
 
 let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
   let state =
@@ -722,23 +730,32 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
     List.rev !out
   in
   let slot = State.ledger_seq state in
+  (* counter handles resolved once per ledger, only when observed *)
+  let counters =
+    if Stellar_obs.Sink.enabled obs then
+      Some
+        ( Array.map (Stellar_obs.Sink.counter obs) outcome_metrics,
+          Stellar_obs.Sink.counter obs "ledger.ops.applied" )
+    else None
+  in
   let state, results =
     List.fold_left
       (fun (state, acc) signed ->
         let state, outcome = apply_tx ctx state signed in
-        if Stellar_obs.Sink.enabled obs then begin
-          Stellar_obs.Sink.incr obs (outcome_metric outcome);
-          Stellar_obs.Sink.emit obs
-            (Stellar_obs.Event.Tx_applied
-               {
-                 tx = Stellar_crypto.Hex.encode (Tx.hash signed.Tx.tx);
-                 slot;
-                 ok = tx_succeeded outcome;
-               });
-          match outcome with
-          | Tx_success rs -> Stellar_obs.Sink.add obs "ledger.ops.applied" (List.length rs)
-          | _ -> ()
-        end;
+        (match counters with
+        | None -> ()
+        | Some (outcomes, ops_applied) -> (
+            Stellar_obs.Registry.incr outcomes.(outcome_index outcome);
+            Stellar_obs.Sink.emit obs
+              (Stellar_obs.Event.Tx_applied
+                 {
+                   tx = Stellar_crypto.Hex.encode (Tx.hash signed.Tx.tx);
+                   slot;
+                   ok = tx_succeeded outcome;
+                 });
+            match outcome with
+            | Tx_success rs -> Stellar_obs.Registry.add ops_applied (List.length rs)
+            | _ -> ()));
         (state, (signed, outcome) :: acc))
       (state, []) sorted
   in

@@ -1,39 +1,3 @@
-type summary = {
-  count : int;
-  mean : float;
-  p50 : float;
-  p75 : float;
-  p99 : float;
-  max : float;
-}
-
-let zero = { count = 0; mean = 0.0; p50 = 0.0; p75 = 0.0; p99 = 0.0; max = 0.0 }
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else begin
-    let idx = int_of_float (q *. float_of_int (n - 1)) in
-    sorted.(max 0 (min (n - 1) idx))
-  end
-
-let summarize values =
-  match values with
-  | [] -> zero
-  | _ ->
-      let arr = Array.of_list values in
-      Array.sort Float.compare arr;
-      let n = Array.length arr in
-      let total = Array.fold_left ( +. ) 0.0 arr in
-      {
-        count = n;
-        mean = total /. float_of_int n;
-        p50 = percentile arr 0.50;
-        p75 = percentile arr 0.75;
-        p99 = percentile arr 0.99;
-        max = arr.(n - 1);
-      }
-
-let pp_ms fmt s =
-  Format.fprintf fmt "mean=%.1fms p50=%.1f p99=%.1f max=%.1f (n=%d)" (s.mean *. 1000.0)
-    (s.p50 *. 1000.0) (s.p99 *. 1000.0) (s.max *. 1000.0) s.count
+(* Kept for callers that name the summary type through this module; the
+   record and its percentile convention live in [Stellar_obs.Report]. *)
+type summary = Stellar_obs.Report.quantiles

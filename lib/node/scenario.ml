@@ -35,16 +35,16 @@ let default ~spec =
 
 type report = {
   ledgers_closed : int;
-  nomination : Metrics.summary;
-  balloting : Metrics.summary;
-  apply : Metrics.summary;
-  total : Metrics.summary;
-  close_interval : Metrics.summary;
-  txs_per_ledger : Metrics.summary;
+  nomination : Stellar_obs.Report.quantiles;
+  balloting : Stellar_obs.Report.quantiles;
+  apply : Stellar_obs.Report.quantiles;
+  total : Stellar_obs.Report.quantiles;
+  close_interval : Stellar_obs.Report.quantiles;
+  txs_per_ledger : Stellar_obs.Report.quantiles;
   txs_submitted : int;
   txs_applied : int;
-  nomination_timeouts_per_ledger : Metrics.summary;
-  ballot_timeouts_per_ledger : Metrics.summary;
+  nomination_timeouts_per_ledger : Stellar_obs.Report.quantiles;
+  ballot_timeouts_per_ledger : Stellar_obs.Report.quantiles;
   envelopes_per_ledger : float;
   msgs_per_second_per_node : float;
   bytes_in_total : int;
@@ -245,7 +245,8 @@ let run p =
   in
   let stats' = drop_warmup stats in
   let t_per_ledger' = drop_warmup t_per_ledger in
-  let fl f = List.map f stats' in
+  let quantiles = Stellar_obs.Report.quantiles in
+  let per_ledger f = quantiles (List.map f stats') in
   let close_intervals =
     let rec go = function
       | a :: (b :: _ as rest) ->
@@ -259,13 +260,16 @@ let run p =
     List.fold_left (fun acc s -> acc + s.Stellar_herder.Herder.tx_count) 0 stats
   in
   let virtual_elapsed = Stellar_sim.Engine.now engine in
-  let node0 = Stellar_sim.Network.stats network 0 in
+  let node0 = Stellar_obs.Registry.counter_value (Stellar_sim.Network.registry network 0) in
+  let per_second count =
+    if virtual_elapsed > 0.0 then float_of_int count /. virtual_elapsed else 0.0
+  in
   let n_ledgers_all = List.length stats in
   (* logical envelopes per ledger: count envelope floods originated by
      node 0 (its own emissions) per closed ledger *)
   let envelopes_per_ledger =
     if n_ledgers_all = 0 then 0.0
-    else float_of_int (Validator.own_envelopes validators.(0)) /. float_of_int n_ledgers_all
+    else float_of_int (node0 "flood.own_envelopes") /. float_of_int n_ledgers_all
   in
   (* per-validator header chains, oldest first, as hex hashes *)
   let chains =
@@ -306,34 +310,24 @@ let run p =
   in
   {
     ledgers_closed = List.length stats;
-    nomination = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.nomination_s));
-    balloting = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.balloting_s));
-    apply = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.apply_s));
-    total = Metrics.summarize (fl (fun s -> s.Stellar_herder.Herder.total_s));
-    close_interval = Metrics.summarize close_intervals;
-    txs_per_ledger =
-      Metrics.summarize (fl (fun s -> float_of_int s.Stellar_herder.Herder.tx_count));
+    nomination = per_ledger (fun s -> s.Stellar_herder.Herder.nomination_s);
+    balloting = per_ledger (fun s -> s.Stellar_herder.Herder.balloting_s);
+    apply = per_ledger (fun s -> s.Stellar_herder.Herder.apply_s);
+    total = per_ledger (fun s -> s.Stellar_herder.Herder.total_s);
+    close_interval = quantiles close_intervals;
+    txs_per_ledger = per_ledger (fun s -> float_of_int s.Stellar_herder.Herder.tx_count);
     txs_submitted = !submitted;
     txs_applied;
     nomination_timeouts_per_ledger =
-      Metrics.summarize (List.map (fun (n, _) -> float_of_int n) t_per_ledger');
+      quantiles (List.map (fun (n, _) -> float_of_int n) t_per_ledger');
     ballot_timeouts_per_ledger =
-      Metrics.summarize (List.map (fun (_, b) -> float_of_int b) t_per_ledger');
+      quantiles (List.map (fun (_, b) -> float_of_int b) t_per_ledger');
     envelopes_per_ledger;
-    msgs_per_second_per_node =
-      (if virtual_elapsed > 0.0 then
-         float_of_int node0.Stellar_sim.Network.msgs_sent /. virtual_elapsed
-       else 0.0);
-    bytes_in_total = node0.Stellar_sim.Network.bytes_received;
-    bytes_out_total = node0.Stellar_sim.Network.bytes_sent;
-    bytes_in_per_second =
-      (if virtual_elapsed > 0.0 then
-         float_of_int node0.Stellar_sim.Network.bytes_received /. virtual_elapsed
-       else 0.0);
-    bytes_out_per_second =
-      (if virtual_elapsed > 0.0 then
-         float_of_int node0.Stellar_sim.Network.bytes_sent /. virtual_elapsed
-       else 0.0);
+    msgs_per_second_per_node = per_second (node0 "overlay.msgs.sent");
+    bytes_in_total = node0 "overlay.bytes.received";
+    bytes_out_total = node0 "overlay.bytes.sent";
+    bytes_in_per_second = per_second (node0 "overlay.bytes.received");
+    bytes_out_per_second = per_second (node0 "overlay.bytes.sent");
     diverged;
     chains;
     converged;
@@ -341,6 +335,10 @@ let run p =
     final_ledger_seq = Stellar_herder.Herder.ledger_seq (Validator.herder validators.(0));
     telemetry;
   }
+
+let pp_ms fmt (s : Stellar_obs.Report.quantiles) =
+  Format.fprintf fmt "mean=%.1fms p50=%.1f p99=%.1f max=%.1f (n=%d)" (s.mean *. 1000.0)
+    (s.p50 *. 1000.0) (s.p99 *. 1000.0) (s.max *. 1000.0) s.n
 
 let pp_report fmt r =
   Format.fprintf fmt
@@ -356,8 +354,8 @@ let pp_report fmt r =
      wall time          : %.2fs@]"
     r.ledgers_closed r.final_ledger_seq
     (if r.diverged then "  !! DIVERGED !!" else "")
-    Metrics.pp_ms r.nomination Metrics.pp_ms r.balloting Metrics.pp_ms r.apply
-    Metrics.pp_ms r.total r.close_interval.Metrics.mean r.txs_per_ledger.Metrics.mean
+    pp_ms r.nomination pp_ms r.balloting pp_ms r.apply pp_ms r.total r.close_interval.mean
+    r.txs_per_ledger.mean
     r.txs_applied r.txs_submitted r.envelopes_per_ledger r.msgs_per_second_per_node
     (r.bytes_in_per_second *. 8.0 /. 1_000_000.0)
     (r.bytes_out_per_second *. 8.0 /. 1_000_000.0)

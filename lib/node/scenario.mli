@@ -40,16 +40,16 @@ val default : spec:Topology.spec -> params
 
 type report = {
   ledgers_closed : int;
-  nomination : Metrics.summary;
-  balloting : Metrics.summary;
-  apply : Metrics.summary;
-  total : Metrics.summary;
-  close_interval : Metrics.summary;  (** time between consecutive closes *)
-  txs_per_ledger : Metrics.summary;
+  nomination : Stellar_obs.Report.quantiles;
+  balloting : Stellar_obs.Report.quantiles;
+  apply : Stellar_obs.Report.quantiles;
+  total : Stellar_obs.Report.quantiles;
+  close_interval : Stellar_obs.Report.quantiles;  (** time between consecutive closes *)
+  txs_per_ledger : Stellar_obs.Report.quantiles;
   txs_submitted : int;
   txs_applied : int;
-  nomination_timeouts_per_ledger : Metrics.summary;
-  ballot_timeouts_per_ledger : Metrics.summary;
+  nomination_timeouts_per_ledger : Stellar_obs.Report.quantiles;
+  ballot_timeouts_per_ledger : Stellar_obs.Report.quantiles;
   envelopes_per_ledger : float;  (** logical SCP envelopes emitted per ledger *)
   msgs_per_second_per_node : float;
   bytes_in_total : int;  (** XDR bytes received by node 0 over the run *)

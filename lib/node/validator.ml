@@ -19,17 +19,29 @@ type t = {
   mutable crashed : bool;
   seen : (string, int) Hashtbl.t;  (* flood dedup: key -> expiry slot *)
   helped : (int * int, unit) Hashtbl.t;  (* (peer, slot) straggler replies sent *)
-  mutable floods_seen : int;
-  mutable floods_forwarded : int;
-  mutable own_envelopes : int;
+  c : counters;
+}
+
+(* Resolved once in [create]: the [flood.*]/[fault.*] counters live in the
+   network's per-node registry, which counts whether or not the run is
+   observed; the gauges come from the sink. *)
+and counters = {
+  forwarded : Obs.Registry.counter;
+  unique : Obs.Registry.counter;
+  dup_dropped : Obs.Registry.counter;
+  dup_bytes : Obs.Registry.counter;
+  self_envelopes : Obs.Registry.counter;
+  straggler_helped : Obs.Registry.counter;
+  crashes : Obs.Registry.counter;
+  restarts : Obs.Registry.counter;
+  refloods : Obs.Registry.counter;
+  helped_size : Obs.Registry.gauge;
+  seen_size : Obs.Registry.gauge;
 }
 
 let index t = t.index
 let herder t = t.herder
 let node_id t = Stellar_herder.Herder.node_id t.herder
-let floods_seen t = t.floods_seen
-let floods_forwarded t = t.floods_forwarded
-let own_envelopes t = t.own_envelopes
 let helped_size t = Hashtbl.length t.helped
 let seen_size t = Hashtbl.length t.seen
 let is_crashed t = t.crashed
@@ -43,8 +55,7 @@ let prune_helped t ~upto =
       t.helped []
   in
   List.iter (Hashtbl.remove t.helped) stale;
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.set_gauge t.obs "validator.helped.size" (float_of_int (Hashtbl.length t.helped))
+  Obs.Registry.set t.c.helped_size (float_of_int (Hashtbl.length t.helped))
 
 (* How long a dedup entry stays useful.  Envelopes are only ever re-flooded
    while their slot is live, so they expire right after it closes (+2 slots
@@ -67,8 +78,7 @@ let prune_seen t ~upto =
     Hashtbl.fold (fun k expiry acc -> if expiry <= upto then k :: acc else acc) t.seen []
   in
   List.iter (Hashtbl.remove t.seen) stale;
-  if Obs.Sink.enabled t.obs then
-    Obs.Sink.set_gauge t.obs "validator.seen.size" (float_of_int (Hashtbl.length t.seen))
+  Obs.Registry.set t.c.seen_size (float_of_int (Hashtbl.length t.seen))
 
 (* [force] lets a node re-broadcast its own identical message (a straggler
    re-announcing its last statement must not be silenced by its own dedup
@@ -86,16 +96,14 @@ let flood_wire t ?except ?(force = false) (w : Message.wire) =
       (fun peer ->
         if Some peer <> except && peer <> t.index then begin
           incr fanout;
-          t.floods_forwarded <- t.floods_forwarded + 1;
           Stellar_sim.Network.send t.network ~src:t.index ~dst:peer ~size:w.size ~msg_id w
         end)
       t.peers;
-    if Obs.Sink.enabled t.obs then begin
-      Obs.Sink.add t.obs "flood.forwarded" !fanout;
+    Obs.Registry.add t.c.forwarded !fanout;
+    if Obs.Sink.enabled t.obs then
       Obs.Sink.emit t.obs
         (Obs.Event.Flood_send
            { kind = Message.kind_name w.msg; bytes = w.size; fanout = !fanout; msg_id })
-    end
   end
 
 let flood t ?force msg = flood_wire t ?force (Message.wire msg)
@@ -126,7 +134,7 @@ let maybe_help_straggler t ~src env =
     && not (Hashtbl.mem t.helped (src, slot))
   then begin
     Hashtbl.replace t.helped (src, slot) ();
-    Obs.Sink.incr t.obs "flood.straggler_helped";
+    Obs.Registry.incr t.c.straggler_helped;
     let envs, tx_sets = Stellar_herder.Herder.help_straggler t.herder ~slot in
     List.iter (fun ts -> send_direct t ~dst:src (Message.Tx_set_msg ts)) tx_sets;
     List.iter (fun e -> send_direct t ~dst:src (Message.Envelope e)) envs
@@ -137,11 +145,10 @@ let maybe_help_straggler t ~src env =
 let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
   if t.crashed then ()
   else begin
-    t.floods_seen <- t.floods_seen + 1;
     let msg = w.msg in
     if not (Hashtbl.mem t.seen w.key) then begin
+      Obs.Registry.incr t.c.unique;
       if Obs.Sink.enabled t.obs then begin
-        Obs.Sink.incr t.obs "flood.unique";
         Obs.Sink.emit t.obs
           (Obs.Event.Flood_recv
              {
@@ -175,11 +182,12 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
       | Message.Tx_msg signed -> ignore (Stellar_herder.Herder.receive_tx t.herder signed));
       flood_wire t ~except:src w
     end
-    else if Obs.Sink.enabled t.obs then begin
-      Obs.Sink.incr t.obs "flood.dup_dropped";
-      Obs.Sink.add t.obs "flood.dup_bytes" w.size;
-      Obs.Sink.emit t.obs
-        (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes = w.size })
+    else begin
+      Obs.Registry.incr t.c.dup_dropped;
+      Obs.Registry.add t.c.dup_bytes w.size;
+      if Obs.Sink.enabled t.obs then
+        Obs.Sink.emit t.obs
+          (Obs.Event.Dedup_drop { kind = Message.kind_name msg; src; bytes = w.size })
     end
   end
 
@@ -194,8 +202,7 @@ let callbacks_for ~engine ~gen get_t =
         (fun env ->
           let v = get_t () in
           if v.generation = gen then begin
-            v.own_envelopes <- v.own_envelopes + 1;
-            Obs.Sink.incr v.obs "flood.own_envelopes";
+            Obs.Registry.incr v.c.self_envelopes;
             flood v ~force:true (Message.Envelope env)
           end);
       broadcast_tx_set =
@@ -242,6 +249,23 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
     ?(on_ledger_closed = fun _ -> ()) ?(on_timeout = fun ~kind:_ -> ())
     ?(obs = Obs.Sink.null) () =
   let engine = Stellar_sim.Network.engine network in
+  let reg = Stellar_sim.Network.registry network index in
+  let counter = Obs.Registry.counter reg in
+  let c =
+    {
+      forwarded = counter "flood.forwarded";
+      unique = counter "flood.unique";
+      dup_dropped = counter "flood.dup_dropped";
+      dup_bytes = counter "flood.dup_bytes";
+      self_envelopes = counter "flood.own_envelopes";
+      straggler_helped = counter "flood.straggler_helped";
+      crashes = counter "fault.crashes";
+      restarts = counter "fault.restarts";
+      refloods = counter "fault.refloods";
+      helped_size = Obs.Sink.gauge obs "validator.helped.size";
+      seen_size = Obs.Sink.gauge obs "validator.seen.size";
+    }
+  in
   let rec t =
     lazy
       (let cb = callbacks_for ~engine ~gen:0 (fun () -> Lazy.force t) in
@@ -260,9 +284,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
          crashed = false;
          seen = Hashtbl.create 1024;
          helped = Hashtbl.create 64;
-         floods_seen = 0;
-         floods_forwarded = 0;
-         own_envelopes = 0;
+         c;
        })
   in
   let t = Lazy.force t in
@@ -284,10 +306,8 @@ let crash t =
     t.crashed <- true;
     t.generation <- t.generation + 1;
     Stellar_sim.Network.set_down t.network t.index true;
-    if Obs.Sink.enabled t.obs then begin
-      Obs.Sink.incr t.obs "fault.crashes";
-      Obs.Sink.emit t.obs Obs.Event.Node_crash
-    end
+    Obs.Registry.incr t.c.crashes;
+    if Obs.Sink.enabled t.obs then Obs.Sink.emit t.obs Obs.Event.Node_crash
   end
 
 let restart ?archive t =
@@ -298,10 +318,8 @@ let restart ?archive t =
     Hashtbl.reset t.seen;
     Hashtbl.reset t.helped;
     Stellar_sim.Network.set_down t.network t.index false;
-    if Obs.Sink.enabled t.obs then begin
-      Obs.Sink.incr t.obs "fault.restarts";
-      Obs.Sink.emit t.obs Obs.Event.Node_restart
-    end;
+    Obs.Registry.incr t.c.restarts;
+    if Obs.Sink.enabled t.obs then Obs.Sink.emit t.obs Obs.Event.Node_restart;
     (* §5.4 bootstrap: rebuild state from the archive's latest checkpoint and
        replay forward to its tip; whatever closed after the archive tip is
        recovered live via straggler help once we rejoin consensus. *)
@@ -349,7 +367,7 @@ let restart ?archive t =
    envelope's wire record is built once and reused for every copy. *)
 let reflood t ~copies =
   if not t.crashed then begin
-    Obs.Sink.incr t.obs "fault.refloods";
+    Obs.Registry.incr t.c.refloods;
     let ws =
       List.map
         (fun e -> Message.wire (Message.Envelope e))

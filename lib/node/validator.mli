@@ -21,9 +21,14 @@ val create :
     wire size are computed once where it is first flooded, and every hop
     dedups on and forwards that same record.
 
-    [obs] (default disabled) instruments the flood path — [Flood_send],
-    [Flood_recv] and [Dedup_drop] events plus [flood.*] counters — and is
-    passed down to the herder/SCP/ledger stack. *)
+    The [flood.*] and [fault.*] counters ([flood.own_envelopes] counts the
+    SCP envelopes this validator itself emitted: the paper's 6-7 logical
+    messages per ledger, §7.2) live in [Network.registry network index]
+    and count whether or not the run is observed.
+
+    [obs] (default disabled) traces the flood path — [Flood_send],
+    [Flood_recv] and [Dedup_drop] events — and is passed down to the
+    herder/SCP/ledger stack. *)
 
 val index : t -> int
 val herder : t -> Stellar_herder.Herder.t
@@ -33,13 +38,6 @@ val stop : t -> unit
 
 val submit_tx : t -> Stellar_ledger.Tx.signed -> unit
 (** Client-facing submission (what horizon forwards, Fig. 5). *)
-
-val floods_seen : t -> int
-val floods_forwarded : t -> int
-
-val own_envelopes : t -> int
-(** SCP envelopes this validator itself emitted (the paper's 6-7 logical
-    messages per ledger, §7.2). *)
 
 val helped_size : t -> int
 (** Entries in the (peer, slot) straggler-reply memo table.  The table is

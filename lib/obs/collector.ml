@@ -26,7 +26,6 @@ let n_nodes t = Array.length t.sinks
 let sink t i = t.sinks.(i)
 let sim_sink t = t.sim_sink
 let registry t i = t.node_registries.(i)
-let sim_registry t = t.sim_registry
 
 let aggregate t =
   Registry.merge (t.sim_registry :: Array.to_list t.node_registries)

@@ -21,7 +21,6 @@ val sim_sink : t -> Sink.t
     run's trace and stamps events with node id -1. *)
 
 val registry : t -> int -> Registry.t
-val sim_registry : t -> Registry.t
 
 val aggregate : t -> Registry.t
 (** All node registries plus the sim registry merged into one. *)

@@ -68,6 +68,9 @@ let histogram ?(bounds = default_bounds) t name =
       Hashtbl.add t name (Histogram h);
       h
 
+let detached_counter () = { count = 0 }
+let detached_gauge () = { value = 0.0 }
+
 let incr c = c.count <- c.count + 1
 let add c k = c.count <- c.count + k
 let set g v = g.value <- v
@@ -81,14 +84,12 @@ let observe h v =
   h.sum <- h.sum +. v;
   if v > h.hmax then h.hmax <- v
 
-(* Same rank convention as Stellar_node.Metrics.percentile (nearest-rank on
-   index [q * (n-1)]): when every sample sits exactly on a bucket bound, the
-   estimate equals the exact percentile. *)
+(* The bucket holding the sample at [Report.rank]: when every sample sits
+   exactly on a bucket bound, the estimate equals [Report.percentile]. *)
 let percentile_of h q =
   if h.n = 0 then 0.0
   else begin
-    let rank = int_of_float (q *. float_of_int (h.n - 1)) + 1 in
-    let rank = max 1 (min h.n rank) in
+    let rank = Report.rank ~n:h.n q + 1 in
     let nb = Array.length h.bounds in
     let rec go i cum =
       if i >= nb then h.hmax
@@ -99,18 +100,6 @@ let percentile_of h q =
     go 0 0
   end
 
-type summary = { count : int; sum : float; p50 : float; p75 : float; p99 : float; max : float }
-
-let summarize h =
-  {
-    count = h.n;
-    sum = h.sum;
-    p50 = percentile_of h 0.50;
-    p75 = percentile_of h 0.75;
-    p99 = percentile_of h 0.99;
-    max = h.hmax;
-  }
-
 let counter_value t name =
   match Hashtbl.find_opt t name with Some (Counter c) -> c.count | _ -> 0
 
@@ -118,7 +107,18 @@ let gauge_value t name =
   match Hashtbl.find_opt t name with Some (Gauge g) -> g.value | _ -> 0.0
 
 let summary t name =
-  match Hashtbl.find_opt t name with Some (Histogram h) -> Some (summarize h) | _ -> None
+  match Hashtbl.find_opt t name with
+  | Some (Histogram h) ->
+      Some
+        {
+          Report.n = h.n;
+          mean = (if h.n = 0 then 0.0 else h.sum /. float_of_int h.n);
+          p50 = percentile_of h 0.50;
+          p75 = percentile_of h 0.75;
+          p99 = percentile_of h 0.99;
+          max = h.hmax;
+        }
+  | _ -> None
 
 let names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
 
@@ -146,21 +146,3 @@ let merge regs =
   let dst = create () in
   List.iter (fun r -> merge_into ~dst r) regs;
   dst
-
-let metric_json = function
-  | Counter c -> string_of_int c.count
-  | Gauge g -> Printf.sprintf "%.6f" g.value
-  | Histogram h ->
-      let s = summarize h in
-      Printf.sprintf
-        {|{"count":%d,"sum":%.6f,"p50":%.6f,"p75":%.6f,"p99":%.6f,"max":%.6f}|}
-        s.count s.sum s.p50 s.p75 s.p99 s.max
-
-let to_json t =
-  let entries =
-    List.map
-      (fun name ->
-        Printf.sprintf {|"%s":%s|} name (metric_json (Hashtbl.find t name)))
-      (names t)
-  in
-  "{" ^ String.concat "," entries ^ "}"

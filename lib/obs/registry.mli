@@ -26,32 +26,32 @@ val histogram : ?bounds:float array -> t -> string -> histogram
 val default_bounds : float array
 (** 100 µs … 60 s in a 1–2.5–5 progression — the latency range of §7. *)
 
+val detached_counter : unit -> counter
+val detached_gauge : unit -> gauge
+(** Handles registered nowhere: what a disabled {!Sink} resolves names
+    to, so writers need no branch and nothing is recorded. *)
+
 val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> float -> unit
 val observe : histogram -> float -> unit
 
 val percentile_of : histogram -> float -> float
-(** Nearest-rank estimate from the bucket counts, using the same rank
-    convention as [Stellar_node.Metrics.percentile]; the result is the
-    upper bound of the bucket holding the rank (clipped to the observed
-    max), so samples placed exactly on bucket bounds reproduce the exact
-    percentile. *)
-
-type summary = { count : int; sum : float; p50 : float; p75 : float; p99 : float; max : float }
-
-val summarize : histogram -> summary
+(** Estimate at the {!Report.rank} index from the bucket counts: the upper
+    bound of the bucket holding that sample, clipped to the observed max.
+    Samples placed exactly on bucket bounds reproduce
+    {!Report.percentile}. *)
 
 (* Read-side: value lookups by name (0 / 0.0 / None when absent). *)
 val counter_value : t -> string -> int
 val gauge_value : t -> string -> float
-val summary : t -> string -> summary option
+
+val summary : t -> string -> Report.quantiles option
+(** The histogram's bucket estimate in the same record {!Report.quantiles}
+    computes exactly; [mean] is the exact running sum over [n]. *)
 
 val names : t -> string list
 (** Sorted. *)
 
 val merge_into : dst:t -> t -> unit
 val merge : t list -> t
-
-val to_json : t -> string
-(** Deterministic (sorted keys, fixed float formatting). *)

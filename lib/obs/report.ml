@@ -66,31 +66,39 @@ let slot_phases ?(node = 0) ?(apply_cost = default_apply_cost) trace =
          | _ -> None)
   |> List.sort (fun a b -> Int.compare a.slot b.slot)
 
-(* Exact nearest-rank percentile, same convention as
-   [Stellar_node.Metrics.percentile]. *)
+(* Index of the [q]-quantile among [n] sorted samples: floor(q·(n−1)),
+   clamped.  Between two samples it takes the lower one, so the p99 of two
+   samples is the smaller.  [Registry.percentile_of] ranks its buckets with
+   it too. *)
+let rank ~n q = max 0 (min (n - 1) (int_of_float (q *. float_of_int (n - 1))))
+
+let sorted values =
+  let arr = Array.of_list values in
+  Array.sort Float.compare arr;
+  arr
+
 let percentile values q =
   match values with
   | [] -> 0.0
   | _ ->
-      let arr = Array.of_list values in
-      Array.sort Float.compare arr;
-      let n = Array.length arr in
-      let idx = int_of_float (q *. float_of_int (n - 1)) in
-      arr.(max 0 (min (n - 1) idx))
+      let arr = sorted values in
+      arr.(rank ~n:(Array.length arr) q)
 
-type quantiles = { n : int; mean : float; p50 : float; p99 : float; max : float }
+type quantiles = { n : int; mean : float; p50 : float; p75 : float; p99 : float; max : float }
 
 let quantiles values =
   match values with
-  | [] -> { n = 0; mean = 0.0; p50 = 0.0; p99 = 0.0; max = 0.0 }
+  | [] -> { n = 0; mean = 0.0; p50 = 0.0; p75 = 0.0; p99 = 0.0; max = 0.0 }
   | _ ->
-      let n = List.length values in
-      let sum = List.fold_left ( +. ) 0.0 values in
+      let arr = sorted values in
+      let n = Array.length arr in
+      let at q = arr.(rank ~n q) in
       {
         n;
-        mean = sum /. float_of_int n;
-        p50 = percentile values 0.50;
-        p99 = percentile values 0.99;
+        mean = List.fold_left ( +. ) 0.0 values /. float_of_int n;
+        p50 = at 0.50;
+        p75 = at 0.75;
+        p99 = at 0.99;
         max = List.fold_left Float.max neg_infinity values;
       }
 

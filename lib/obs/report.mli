@@ -23,13 +23,21 @@ val slot_phases :
 (** Phase durations for every slot [node] (default 0) both nominated and
     externalized, sorted by slot. *)
 
-val percentile : float list -> float -> float
-(** Exact nearest-rank percentile (same convention as
-    [Stellar_node.Metrics.percentile]). *)
+val rank : n:int -> float -> int
+(** [rank ~n q] is the index of the [q]-quantile among [n] sorted samples:
+    floor(q·(n−1)), clamped to [\[0, n−1\]].  No interpolation: between two
+    samples it takes the lower one, so the p99 of two samples is the
+    smaller.  Every percentile in the repository uses this convention. *)
 
-type quantiles = { n : int; mean : float; p50 : float; p99 : float; max : float }
+val percentile : float list -> float -> float
+(** Exact percentile of unsorted samples at {!rank}; 0 for no samples. *)
+
+type quantiles = { n : int; mean : float; p50 : float; p75 : float; p99 : float; max : float }
+(** The one summary record: exact here, bucket estimates in
+    {!Registry.summary}.  [mean] is the sum in input order over [n]. *)
 
 val quantiles : float list -> quantiles
+(** Sorts once; all zero for no samples. *)
 
 type breakdown = {
   n_slots : int;

@@ -1,11 +1,13 @@
 (** The instrumentation hook handed to every subsystem.
 
     A sink binds a node id and a (simulated-)time source to a metric
-    {!Registry.t} and an optional shared {!Trace.t}.  The {!null} sink is
-    disabled: every operation is a single boolean test and no allocation, so
-    instrumented code costs nothing when observability is off.  Call sites
-    that build event payloads should still guard with {!enabled} to avoid
-    constructing the payload at all. *)
+    {!Registry.t} and an optional shared {!Trace.t}.  Counters and gauges
+    are written through {!Registry} handles that a subsystem resolves once,
+    where its sink is fixed; a disabled sink resolves every name to a
+    detached handle, so writes need no branch and record nothing.  The
+    {!null} sink is disabled: {!emit} and {!observe} are a single boolean
+    test.  Call sites that build event payloads, or compute a gauge value
+    at some cost, should still guard with {!enabled}. *)
 
 type t
 
@@ -26,10 +28,13 @@ val emit : t -> Event.t -> unit
     the trace is at capacity the event is discarded and the node's
     [obs.trace.dropped] counter incremented instead. *)
 
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
-val set_gauge : t -> string -> float -> unit
+val counter : t -> string -> Registry.counter
+val gauge : t -> string -> Registry.gauge
+(** Resolve a name once.  A disabled sink returns a fresh detached handle
+    and leaves its registry empty. *)
+
 val observe : t -> string -> float -> unit
+(** Histogram sample, looked up by name: it runs once per ledger or span. *)
 
 (** {2 Spans} — phase durations in simulated time.  Spans may nest freely;
     each emits [Span_begin]/[Span_end] events and feeds a histogram named

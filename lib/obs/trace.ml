@@ -36,8 +36,3 @@ let to_jsonl t =
       Buffer.add_string buf (line s);
       Buffer.add_char buf '\n');
   Buffer.contents buf
-
-let output_jsonl oc t =
-  iter t (fun s ->
-      output_string oc (line s);
-      output_char oc '\n')

@@ -36,4 +36,3 @@ val iter : t -> (stamped -> unit) -> unit
 val to_jsonl : t -> string
 (** One JSON object per line: [{"seq":..,"t":..,"node":..,"ev":"...",...}]. *)
 
-val output_jsonl : out_channel -> t -> unit

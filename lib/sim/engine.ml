@@ -7,6 +7,9 @@ type t = {
   mutable next_seq : int;
   queue : event Heap.t;
   mutable obs : Stellar_obs.Sink.t;
+  mutable c_fired : Stellar_obs.Registry.counter;
+  mutable c_cancelled : Stellar_obs.Registry.counter;
+  mutable g_pending : Stellar_obs.Registry.gauge;
 }
 
 let compare_event a b =
@@ -19,9 +22,16 @@ let create () =
     next_seq = 0;
     queue = Heap.create ~cmp:compare_event;
     obs = Stellar_obs.Sink.null;
+    c_fired = Stellar_obs.Registry.detached_counter ();
+    c_cancelled = Stellar_obs.Registry.detached_counter ();
+    g_pending = Stellar_obs.Registry.detached_gauge ();
   }
 
-let set_obs t obs = t.obs <- obs
+let set_obs t obs =
+  t.obs <- obs;
+  t.c_fired <- Stellar_obs.Sink.counter obs "sim.events.fired";
+  t.c_cancelled <- Stellar_obs.Sink.counter obs "sim.events.cancelled";
+  t.g_pending <- Stellar_obs.Sink.gauge obs "sim.queue.pending"
 
 let now t = t.clock
 
@@ -41,14 +51,13 @@ let step t =
   | None -> false
   | Some ev ->
       t.clock <- Float.max t.clock ev.time;
-      (if ev.timer.cancelled then Stellar_obs.Sink.incr t.obs "sim.events.cancelled"
+      (if ev.timer.cancelled then Stellar_obs.Registry.incr t.c_cancelled
        else begin
-         Stellar_obs.Sink.incr t.obs "sim.events.fired";
+         Stellar_obs.Registry.incr t.c_fired;
          ev.timer.fire ()
        end);
       if Stellar_obs.Sink.enabled t.obs then
-        Stellar_obs.Sink.set_gauge t.obs "sim.queue.pending"
-          (float_of_int (Heap.size t.queue));
+        Stellar_obs.Registry.set t.g_pending (float_of_int (Heap.size t.queue));
       true
 
 let run ?until t =

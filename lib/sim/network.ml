@@ -1,12 +1,5 @@
 module Obs = Stellar_obs
 
-type stats = {
-  msgs_sent : int;
-  msgs_received : int;
-  bytes_sent : int;
-  bytes_received : int;
-}
-
 type delivery = {
   msg_id : int;
   sent_at : float;
@@ -16,11 +9,11 @@ type delivery = {
 }
 
 (* Per-node accounting lives in a Stellar_obs registry ("overlay.*" names)
-   so network traffic and protocol metrics share one namespace; the [stats]
-   accessor below is a thin snapshot over it.  Counter handles are cached so
-   the send path touches a record field, not a hash table. *)
+   so network traffic and protocol metrics share one namespace.  Counter
+   handles are cached so the send path touches a record field, not a hash
+   table. *)
 type node_obs = {
-  sink : Obs.Sink.t;
+  registry : Obs.Registry.t;
   c_msgs_sent : Obs.Registry.counter;
   c_msgs_received : Obs.Registry.counter;
   c_bytes_sent : Obs.Registry.counter;
@@ -38,29 +31,26 @@ type 'msg t = {
   node_obs : node_obs array;
   mutable partition : int -> int;
   mutable loss_rate : float;
-  mutable total : int;
   mutable next_msg_id : int;
 }
 
-let node_obs_of_sink sink =
-  let reg = Obs.Sink.metrics sink in
+let node_obs_of registry =
   {
-    sink;
-    c_msgs_sent = Obs.Registry.counter reg "overlay.msgs.sent";
-    c_msgs_received = Obs.Registry.counter reg "overlay.msgs.received";
-    c_bytes_sent = Obs.Registry.counter reg "overlay.bytes.sent";
-    c_bytes_received = Obs.Registry.counter reg "overlay.bytes.received";
+    registry;
+    c_msgs_sent = Obs.Registry.counter registry "overlay.msgs.sent";
+    c_msgs_received = Obs.Registry.counter registry "overlay.msgs.received";
+    c_bytes_sent = Obs.Registry.counter registry "overlay.bytes.sent";
+    c_bytes_received = Obs.Registry.counter registry "overlay.bytes.received";
   }
 
 let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =
-  let sink_of i =
+  let registry_of i =
     match obs with
-    | Some f -> f i
+    | Some f -> Obs.Sink.metrics (f i)
     | None ->
-        (* metrics-only sink over a private registry: byte/message accounting
-           is part of the network's API and stays on even when tracing is
-           off. *)
-        Obs.Sink.make ~node:i ~now:(fun () -> Engine.now engine) (Obs.Registry.create ())
+        (* a private registry: byte/message accounting is part of the
+           network's API and stays on even when tracing is off *)
+        Obs.Registry.create ()
   in
   {
     engine;
@@ -70,10 +60,9 @@ let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =
     busy_until = Array.make n 0.0;
     handlers = Array.make n None;
     down = Array.make n false;
-    node_obs = Array.init n (fun i -> node_obs_of_sink (sink_of i));
+    node_obs = Array.init n (fun i -> node_obs_of (registry_of i));
     partition = (fun _ -> 0);
     loss_rate = 0.0;
-    total = 0;
     next_msg_id = 0;
   }
 
@@ -93,25 +82,13 @@ let alloc_msg_id t =
   t.next_msg_id <- t.next_msg_id + 1;
   t.next_msg_id
 
-let registry t i = Obs.Sink.metrics t.node_obs.(i).sink
-
-let stats t i =
-  let reg = registry t i in
-  {
-    msgs_sent = Obs.Registry.counter_value reg "overlay.msgs.sent";
-    msgs_received = Obs.Registry.counter_value reg "overlay.msgs.received";
-    bytes_sent = Obs.Registry.counter_value reg "overlay.bytes.sent";
-    bytes_received = Obs.Registry.counter_value reg "overlay.bytes.received";
-  }
-
-let total_messages t = t.total
+let registry t i = t.node_obs.(i).registry
 
 let send t ~src ~dst ~size:bytes ?(msg_id = -1) msg =
   if not t.down.(src) then begin
     let s = t.node_obs.(src) in
     Obs.Registry.incr s.c_msgs_sent;
     Obs.Registry.add s.c_bytes_sent bytes;
-    t.total <- t.total + 1;
     let dropped =
       t.partition src <> t.partition dst
       || (t.loss_rate > 0.0 && Rng.float t.rng 1.0 < t.loss_rate)

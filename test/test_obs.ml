@@ -41,13 +41,13 @@ let test_merge () =
   Alcotest.(check int) "counters add" 7 (Obs.Registry.counter_value m "c");
   Alcotest.(check (float 1e-9)) "gauges sum" 4.0 (Obs.Registry.gauge_value m "g");
   match Obs.Registry.summary m "h" with
-  | Some s -> Alcotest.(check int) "histogram counts add" 2 s.Obs.Registry.count
+  | Some s -> Alcotest.(check int) "histogram counts add" 2 s.Obs.Report.n
   | None -> Alcotest.fail "merged histogram missing"
 
-(* Histogram percentile estimates agree exactly with the list-based
-   Stellar_node.Metrics.percentile when every sample sits on a bucket
-   bound (the estimate is the bucket's upper bound under the same
-   nearest-rank convention). *)
+(* Histogram percentile estimates agree exactly with the exact
+   Report.percentile when every sample sits on a bucket bound (the estimate
+   is the bucket's upper bound at the same Report.rank index), so the
+   histogram summary equals the exact one. *)
 let test_histogram_percentiles () =
   let bounds = Obs.Registry.default_bounds in
   let r = Obs.Registry.create () in
@@ -62,15 +62,25 @@ let test_histogram_percentiles () =
         samples := b :: !samples
       done)
     bounds;
-  let sorted = Array.of_list (List.sort Float.compare !samples) in
+  let samples = List.rev !samples in
   List.iter
     (fun q ->
-      let exact = Stellar_node.Metrics.percentile sorted q in
+      let exact = Obs.Report.percentile samples q in
       let est = Obs.Registry.percentile_of h q in
       Alcotest.(check (float 1e-12))
         (Printf.sprintf "p%.0f" (q *. 100.0))
         exact est)
-    [ 0.0; 0.5; 0.75; 0.9; 0.99; 1.0 ]
+    [ 0.0; 0.5; 0.75; 0.9; 0.99; 1.0 ];
+  Alcotest.(check bool)
+    "Registry.summary = Report.quantiles" true
+    (Obs.Registry.summary r "lat" = Some (Obs.Report.quantiles samples));
+  (* no interpolation: floor(0.99 * (2 - 1)) = 0, the smaller sample *)
+  let two = Obs.Registry.histogram r "two" in
+  List.iter (Obs.Registry.observe two) [ 0.5; 0.001 ];
+  Alcotest.(check (float 0.0)) "p99 of two samples" 0.001
+    (Obs.Report.percentile [ 0.5; 0.001 ] 0.99);
+  Alcotest.(check (float 0.0)) "histogram p99 of two samples" 0.001
+    (Obs.Registry.percentile_of two 0.99)
 
 (* ---- spans ---- *)
 
@@ -98,7 +108,7 @@ let test_span_nesting () =
   | l -> Alcotest.failf "expected 2 paired spans, got %d" (List.length l));
   (* durations feed the histogram named after the span *)
   match Obs.Registry.summary reg "close" with
-  | Some s -> Alcotest.(check int) "span histogram count" 2 s.Obs.Registry.count
+  | Some s -> Alcotest.(check int) "span histogram count" 2 s.Obs.Report.n
   | None -> Alcotest.fail "span histogram missing"
 
 let test_with_span_exception_safe () =
@@ -112,15 +122,16 @@ let test_with_span_exception_safe () =
 
 let test_null_sink () =
   Alcotest.(check bool) "disabled" false (Obs.Sink.enabled Obs.Sink.null);
-  Obs.Sink.incr Obs.Sink.null "c";
-  Obs.Sink.set_gauge Obs.Sink.null "g" 1.0;
+  Obs.Registry.incr (Obs.Sink.counter Obs.Sink.null "c");
+  Obs.Registry.add (Obs.Sink.counter Obs.Sink.null "c") 2;
+  Obs.Registry.set (Obs.Sink.gauge Obs.Sink.null "g") 1.0;
   Obs.Sink.observe Obs.Sink.null "h" 1.0;
   Obs.Sink.emit Obs.Sink.null (Obs.Event.Externalize { slot = 1 });
   Obs.Sink.with_span Obs.Sink.null ~name:"s" ~slot:1 (fun () -> ());
   Alcotest.(check int) "no metrics recorded" 0
     (List.length (Obs.Registry.names (Obs.Sink.metrics Obs.Sink.null)))
 
-(* ---- network stats migration (satellite 2) ---- *)
+(* ---- network traffic counters ---- *)
 
 let test_network_stats_wrapper () =
   let engine = Stellar_sim.Engine.create () in
@@ -132,19 +143,15 @@ let test_network_stats_wrapper () =
   Stellar_sim.Network.send net ~src:0 ~dst:1 ~size:100 "hello";
   Stellar_sim.Network.send net ~src:0 ~dst:1 ~size:50 "again";
   Stellar_sim.Engine.run engine;
-  let s0 = Stellar_sim.Network.stats net 0 and s1 = Stellar_sim.Network.stats net 1 in
-  Alcotest.(check int) "sent msgs" 2 s0.Stellar_sim.Network.msgs_sent;
-  Alcotest.(check int) "sent bytes" 150 s0.Stellar_sim.Network.bytes_sent;
-  Alcotest.(check int) "recv msgs" 2 s1.Stellar_sim.Network.msgs_received;
-  Alcotest.(check int) "recv bytes" 150 s1.Stellar_sim.Network.bytes_received;
-  (* the wrapper reads straight from the registry *)
-  let reg0 = Stellar_sim.Network.registry net 0 in
-  Alcotest.(check int) "registry backs stats" s0.Stellar_sim.Network.bytes_sent
-    (Obs.Registry.counter_value reg0 "overlay.bytes.sent")
+  let count i = Obs.Registry.counter_value (Stellar_sim.Network.registry net i) in
+  Alcotest.(check int) "sent msgs" 2 (count 0 "overlay.msgs.sent");
+  Alcotest.(check int) "sent bytes" 150 (count 0 "overlay.bytes.sent");
+  Alcotest.(check int) "recv msgs" 2 (count 1 "overlay.msgs.received");
+  Alcotest.(check int) "recv bytes" 150 (count 1 "overlay.bytes.received")
 
 (* ---- end-to-end determinism (the BENCH_phases.json contract) ---- *)
 
-let observed_run seed =
+let observed_run ?(observe = true) seed =
   let spec = Stellar_node.Topology.all_to_all ~n:4 in
   Stellar_node.Scenario.run
     {
@@ -152,8 +159,22 @@ let observed_run seed =
       Stellar_node.Scenario.tx_rate = 10.0;
       duration = 30.0;
       seed;
-      observe = true;
+      observe;
     }
+
+(* The report's traffic figures come from the network's always-on node
+   registry, so observing a run must not change them. *)
+let test_observe_same_accounting () =
+  let o = observed_run 5 and u = observed_run ~observe:false 5 in
+  let open Stellar_node.Scenario in
+  Alcotest.(check bool) "unobserved has no telemetry" true (u.telemetry = None);
+  Alcotest.(check (float 0.0)) "envelopes_per_ledger" o.envelopes_per_ledger
+    u.envelopes_per_ledger;
+  Alcotest.(check bool) "envelopes counted" true (o.envelopes_per_ledger > 0.0);
+  Alcotest.(check int) "bytes_in_total" o.bytes_in_total u.bytes_in_total;
+  Alcotest.(check int) "bytes_out_total" o.bytes_out_total u.bytes_out_total;
+  Alcotest.(check (float 0.0)) "msgs_per_second_per_node" o.msgs_per_second_per_node
+    u.msgs_per_second_per_node
 
 let test_trace_deterministic () =
   let r1 = observed_run 5 and r2 = observed_run 5 in
@@ -388,6 +409,8 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "trace byte-identical" `Quick test_trace_deterministic;
+          Alcotest.test_case "observed = unobserved accounting" `Quick
+            test_observe_same_accounting;
           Alcotest.test_case "phase breakdown sane" `Quick test_trace_phases_sane;
           Alcotest.test_case "flood amplification" `Quick test_flood_amplification;
         ] );
