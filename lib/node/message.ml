@@ -20,8 +20,8 @@ let xdr =
       | _ -> raise (Xdr.Error "Message: bad discriminant"))
 
 (* Global encode counter: the flood path serializes each message once,
-   network-wide (in [wire], at the flood origin), and the regression test
-   pins that invariant here. *)
+   network-wide (in [wire], at the flood origin), and the regression tests
+   pin that invariant here. *)
 let encode_calls = ref 0
 let encode_count () = !encode_calls
 

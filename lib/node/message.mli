@@ -15,8 +15,9 @@ val encode : t -> string
 
 val encode_count : unit -> int
 (** Process-wide number of {!encode} calls so far.  The flood path encodes
-    once per message, network-wide: {!wire} runs at the flood origin and
-    every hop forwards that record.  Tests diff this counter to pin that
+    once per message, network-wide: {!wire} runs at the flood origin, every
+    hop forwards that record, and straggler help and refloods resend the
+    record the sender holds.  Tests diff this counter to pin that
     invariant. *)
 
 val decode : string -> (t, string) result

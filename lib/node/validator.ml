@@ -18,6 +18,9 @@ type t = {
          re-broadcast from beyond the grave *)
   mutable crashed : bool;
   seen : (string, int) Hashtbl.t;  (* flood dedup: key -> expiry slot *)
+  wires : (string, Message.wire * int) Hashtbl.t;
+      (* the record each held envelope / tx set arrived or was flooded with,
+         with its expiry slot; see [held_wire] *)
   helped : (int * int, unit) Hashtbl.t;  (* (peer, slot) straggler replies sent *)
   c : counters;
 }
@@ -31,6 +34,7 @@ and counters = {
   dup_dropped : Obs.Registry.counter;
   dup_bytes : Obs.Registry.counter;
   self_envelopes : Obs.Registry.counter;
+  self_tx_sets : Obs.Registry.counter;
   straggler_helped : Obs.Registry.counter;
   crashes : Obs.Registry.counter;
   restarts : Obs.Registry.counter;
@@ -44,17 +48,14 @@ let herder t = t.herder
 let node_id t = Stellar_herder.Herder.node_id t.herder
 let helped_size t = Hashtbl.length t.helped
 let seen_size t = Hashtbl.length t.seen
+let wires_size t = Hashtbl.length t.wires
 let is_crashed t = t.crashed
 
 (* The straggler-reply memo only has to suppress duplicate help within the
    life of a slot: once slot [upto] is externalized locally, memos for it and
    everything older can go, keeping the table bounded over long runs. *)
 let prune_helped t ~upto =
-  let stale =
-    Hashtbl.fold (fun ((_, slot) as k) () acc -> if slot <= upto then k :: acc else acc)
-      t.helped []
-  in
-  List.iter (Hashtbl.remove t.helped) stale;
+  Hashtbl.filter_map_inplace (fun (_, slot) () -> if slot <= upto then None else Some ()) t.helped;
   Obs.Registry.set t.c.helped_size (float_of_int (Hashtbl.length t.helped))
 
 (* How long a dedup entry stays useful.  Envelopes are only ever re-flooded
@@ -72,13 +73,46 @@ let expiry_of t = function
 
 (* Dedup entries whose expiry slot is now closed can go: any further copy of
    those messages is late-externalize noise that [expiry_of]'s margin already
-   covered.  Without this the table grows with every message ever flooded. *)
+   covered.  Without this the table grows with every message ever flooded.
+   Held records share the expiry of their dedup entry and go with it. *)
 let prune_seen t ~upto =
-  let stale =
-    Hashtbl.fold (fun k expiry acc -> if expiry <= upto then k :: acc else acc) t.seen []
-  in
-  List.iter (Hashtbl.remove t.seen) stale;
+  Hashtbl.filter_map_inplace (fun _ expiry -> if expiry <= upto then None else Some expiry) t.seen;
+  Hashtbl.filter_map_inplace
+    (fun _ ((_, expiry) as e) -> if expiry <= upto then None else Some e)
+    t.wires;
   Obs.Registry.set t.c.seen_size (float_of_int (Hashtbl.length t.seen))
+
+(* Straggler help and reflood resend payloads this node already holds, so
+   they reuse the record each payload arrived or was flooded with: a node
+   runs [Message.wire] only for the messages it originates, or on a miss.
+   Envelopes are bucketed by signature and match only the physically
+   identical value; tx sets match on [Tx_set.hash], the digest of the same
+   canonical bytes the record's key and size are over.  Transactions are
+   never resent, so they are not held. *)
+let held_key = function
+  | Message.Envelope env -> Some env.Scp.Types.signature
+  | Message.Tx_set_msg ts -> Some (Stellar_herder.Tx_set.hash ts)
+  | Message.Tx_msg _ -> None
+
+let find_held t k msg =
+  List.find_map
+    (fun ((w : Message.wire), _) ->
+      match (msg, w.msg) with
+      | Message.Envelope a, Message.Envelope b when a == b -> Some w
+      | Message.Tx_set_msg _, Message.Tx_set_msg _ -> Some w
+      | _ -> None)
+    (Hashtbl.find_all t.wires k)
+
+let hold t (w : Message.wire) =
+  match held_key w.msg with
+  | Some k when Option.is_none (find_held t k w.msg) ->
+      Hashtbl.add t.wires k (w, expiry_of t w.msg)
+  | _ -> ()
+
+let held_wire t msg =
+  match Option.bind (held_key msg) (fun k -> find_held t k msg) with
+  | Some w -> w
+  | None -> Message.wire msg
 
 (* [force] lets a node re-broadcast its own identical message (a straggler
    re-announcing its last statement must not be silenced by its own dedup
@@ -106,13 +140,18 @@ let flood_wire t ?except ?(force = false) (w : Message.wire) =
            { kind = Message.kind_name w.msg; bytes = w.size; fanout = !fanout; msg_id })
   end
 
-let flood t ?force msg = flood_wire t ?force (Message.wire msg)
+(* The flood origin: the one place a node builds a record for a message. *)
+let flood t ?force msg =
+  let w = Message.wire msg in
+  hold t w;
+  flood_wire t ?force w
 
 (* Point-to-point (non-flooded) send, used for straggler help: still tagged
    and traced as a fanout-1 Flood_send so every delivery in the trace
-   resolves to exactly one send. *)
+   resolves to exactly one send.  The payload is one this node holds, so it
+   goes out with its held record. *)
 let send_direct t ~dst msg =
-  let w = Message.wire msg in
+  let w = held_wire t msg in
   let msg_id = Stellar_sim.Network.alloc_msg_id t.network in
   if Obs.Sink.enabled t.obs then
     Obs.Sink.emit t.obs
@@ -141,7 +180,8 @@ let maybe_help_straggler t ~src env =
   end
 
 (* A delivery is never re-encoded or re-hashed: the dedup key, the traced
-   byte counts and the forwarded record all come from the sender's [w]. *)
+   byte counts, the forwarded record and any later straggler-help copy all
+   come from the sender's [w]. *)
 let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
   if t.crashed then ()
   else begin
@@ -173,6 +213,9 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
                  })
         | _ -> ()
       end;
+      (* held before processing: an envelope that closes the slot is itself
+         in the straggler-help batch sent below *)
+      hold t w;
       (* process locally, then forward to our peers (flood with dedup) *)
       (match msg with
       | Message.Envelope env ->
@@ -208,7 +251,10 @@ let callbacks_for ~engine ~gen get_t =
       broadcast_tx_set =
         (fun ts ->
           let v = get_t () in
-          if v.generation = gen then flood v (Message.Tx_set_msg ts));
+          if v.generation = gen then begin
+            Obs.Registry.incr v.c.self_tx_sets;
+            flood v (Message.Tx_set_msg ts)
+          end);
       broadcast_tx =
         (fun signed ->
           let v = get_t () in
@@ -258,6 +304,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
       dup_dropped = counter "flood.dup_dropped";
       dup_bytes = counter "flood.dup_bytes";
       self_envelopes = counter "flood.own_envelopes";
+      self_tx_sets = counter "flood.own_tx_sets";
       straggler_helped = counter "flood.straggler_helped";
       crashes = counter "fault.crashes";
       restarts = counter "fault.restarts";
@@ -283,6 +330,7 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
          generation = 0;
          crashed = false;
          seen = Hashtbl.create 1024;
+         wires = Hashtbl.create 256;
          helped = Hashtbl.create 64;
          c;
        })
@@ -316,6 +364,7 @@ let restart ?archive t =
     t.generation <- t.generation + 1;
     (* the process died: its dedup/memo tables did not survive *)
     Hashtbl.reset t.seen;
+    Hashtbl.reset t.wires;
     Hashtbl.reset t.helped;
     Stellar_sim.Network.set_down t.network t.index false;
     Obs.Registry.incr t.c.restarts;
@@ -363,14 +412,14 @@ let restart ?archive t =
 
 (* Byzantine-style pressure: re-broadcast our latest envelopes [copies]
    times, bypassing our own dedup table.  Correct peers drop every copy
-   after the first — the interesting measurement is the wasted bytes.  Each
-   envelope's wire record is built once and reused for every copy. *)
+   after the first — the interesting measurement is the wasted bytes.  Every
+   copy carries the envelope's held record. *)
 let reflood t ~copies =
   if not t.crashed then begin
     Obs.Registry.incr t.c.refloods;
     let ws =
       List.map
-        (fun e -> Message.wire (Message.Envelope e))
+        (fun e -> held_wire t (Message.Envelope e))
         (Stellar_herder.Herder.recent_envelopes t.herder)
     in
     for _ = 1 to copies do

@@ -19,12 +19,16 @@ val create :
   t
 (** [network] carries {!Message.wire} records: a message's dedup key and
     wire size are computed once where it is first flooded, and every hop
-    dedups on and forwards that same record.
+    dedups on and forwards that same record.  Straggler help and
+    {!reflood} resend held payloads with their held records (see
+    {!wires_size}), so a validator encodes only the messages it
+    originates.
 
     The [flood.*] and [fault.*] counters ([flood.own_envelopes] counts the
     SCP envelopes this validator itself emitted: the paper's 6-7 logical
-    messages per ledger, §7.2) live in [Network.registry network index]
-    and count whether or not the run is observed.
+    messages per ledger, §7.2; [flood.own_tx_sets] the tx sets it built)
+    live in [Network.registry network index] and count whether or not the
+    run is observed.
 
     [obs] (default disabled) traces the flood path — [Flood_send],
     [Flood_recv] and [Dedup_drop] events — and is passed down to the
@@ -52,6 +56,13 @@ val seen_size : t -> int
     slot closes, so the table stays bounded over long simulations; its size
     is exported as the [validator.seen.size] gauge. *)
 
+val wires_size : t -> int
+(** Entries in the held-record table: the {!Message.wire} record each
+    envelope and tx set this validator holds arrived or was flooded with,
+    which straggler help and {!reflood} resend instead of re-encoding.
+    Entries take the expiry of the matching dedup entry and are pruned with
+    it, so this table stays bounded too. *)
+
 (** {2 Fault injection}
 
     A crash/restart models losing the whole process: the herder (and all its
@@ -76,5 +87,6 @@ val is_crashed : t -> bool
 
 val reflood : t -> copies:int -> unit
 (** Byzantine-style fault: re-broadcast this node's latest envelopes
-    [copies] times, bypassing its own dedup table.  Peers' dedup tables
-    absorb every copy after the first; counted as [fault.refloods]. *)
+    [copies] times, bypassing its own dedup table, each with the record
+    it holds for that envelope.  Peers' dedup tables absorb every copy
+    after the first; counted as [fault.refloods]. *)

@@ -69,6 +69,7 @@ let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =
 let size t = Array.length t.handlers
 let engine t = t.engine
 let set_handler t i f = t.handlers.(i) <- Some f
+let handler t i = t.handlers.(i)
 let set_down t i b =
   (* Coming back up clears any CPU-queue backlog accrued before the crash:
      the machine rebooted, its receive queue did not survive. *)

@@ -45,6 +45,10 @@ val engine : 'msg t -> Engine.t
 
 val set_handler : 'msg t -> int -> (src:int -> info:delivery -> 'msg -> unit) -> unit
 
+val handler : 'msg t -> int -> (src:int -> info:delivery -> 'msg -> unit) option
+(** Node [i]'s current handler, so a harness can wrap it and observe every
+    delivery before passing it on. *)
+
 val send : 'msg t -> src:int -> dst:int -> size:int -> ?msg_id:int -> 'msg -> unit
 (** Queue a message for delivery.  [size] is the serialized size in bytes,
     used only for accounting.  Self-sends are delivered with zero latency.

@@ -83,6 +83,49 @@ let validate_tests =
         | _ -> fail "invalid schedule accepted");
   ]
 
+(* ---------- validators driven directly ---------- *)
+
+(* Four validators, all-to-all, on datacenter links: for tests that need the
+   validators themselves rather than a Scenario report. *)
+let validator_net ~seed () =
+  let spec = Topology.all_to_all ~n:4 in
+  let engine = Stellar_sim.Engine.create () in
+  let rng = Stellar_sim.Rng.create ~seed in
+  let network =
+    Stellar_sim.Network.create ~engine ~rng ~n:4 ~latency:Stellar_sim.Latency.datacenter ()
+  in
+  let genesis, accounts = Genesis.make ~n_accounts:20 () in
+  let mk i =
+    Validator.create ~network ~index:i ~peers:(spec.Topology.peers_of i)
+      ~config:
+        (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
+           ~qset:(spec.Topology.qset_of i))
+      ~genesis ()
+  in
+  let vs = Array.init 4 mk in
+  Array.iter Validator.start vs;
+  (engine, network, vs, accounts)
+
+(* Submit a payment every 0.4 s, round-robin over the validators that are
+   up, and run the engine to [until]; returns the number submitted. *)
+let run_load engine vs accounts ~until =
+  let seqs = Array.make (Array.length accounts) 0 in
+  let tick = ref 0 and sent = ref 0 in
+  let rec load () =
+    if Stellar_sim.Engine.now engine < until then begin
+      let v = vs.(!tick mod Array.length vs) in
+      incr tick;
+      if not (Validator.is_crashed v) then begin
+        Validator.submit_tx v (payment ~accounts ~seqs (!sent mod Array.length accounts));
+        incr sent
+      end;
+      ignore (Stellar_sim.Engine.schedule engine ~delay:0.4 load)
+    end
+  in
+  ignore (Stellar_sim.Engine.schedule engine ~delay:0.2 load);
+  Stellar_sim.Engine.run ~until engine;
+  !sent
+
 (* ---------- crash / restart round trip ---------- *)
 
 let recovery_tests =
@@ -132,6 +175,31 @@ let recovery_tests =
             check bool "recovered quickly" true
               (Option.get rc.Stellar_obs.Report.recover_s < 15.0)
         | l -> fail (Printf.sprintf "expected 1 recovery, got %d" (List.length l)));
+    test_case "restart drops the dedup and wire tables with the process" `Quick
+      (fun () ->
+        let engine, _, vs, accounts = validator_net ~seed:9 () in
+        let v = vs.(3) in
+        let before_crash = ref (0, 0) and after_restart = ref (-1, -1) in
+        let sizes () = (Validator.seen_size v, Validator.wires_size v) in
+        ignore
+          (Stellar_sim.Engine.schedule engine ~delay:10.0 (fun () ->
+               before_crash := sizes ();
+               Validator.crash v));
+        ignore
+          (Stellar_sim.Engine.schedule engine ~delay:14.0 (fun () ->
+               Validator.restart v;
+               after_restart := sizes ()));
+        ignore (run_load engine vs accounts ~until:40.0);
+        Stellar_sim.Engine.run ~until:50.0 engine;
+        Array.iter Validator.stop vs;
+        check bool "tables filled before the crash" true
+          (fst !before_crash > 0 && snd !before_crash > 0);
+        check (pair int int) "tables empty right after restart" (0, 0) !after_restart;
+        (* restarted from genesis: the ledgers it closes again come from
+           straggler help, sent with the helpers' held records *)
+        check bool "closes ledgers again" true
+          (Stellar_herder.Herder.ledger_seq (Validator.herder v) > 0);
+        check bool "wire table refilled" true (Validator.wires_size v > 0));
     test_case "partition heals and the minority converges" `Quick (fun () ->
         let r =
           scenario_with_faults ~duration:50.0
@@ -237,34 +305,8 @@ let regression_tests =
         check int "one encode network-wide" 1 (Message.encode_count () - before));
     test_case "flood dedup table stays bounded (entries expire with slots)" `Quick
       (fun () ->
-        let spec = Topology.all_to_all ~n:4 in
-        let engine = Stellar_sim.Engine.create () in
-        let rng = Stellar_sim.Rng.create ~seed:7 in
-        let network =
-          Stellar_sim.Network.create ~engine ~rng ~n:4
-            ~latency:Stellar_sim.Latency.datacenter ()
-        in
-        let genesis, accounts = Genesis.make ~n_accounts:20 () in
-        let mk i =
-          Validator.create ~network ~index:i
-            ~peers:(spec.Topology.peers_of i)
-            ~config:
-              (Stellar_herder.Herder.default_config ~seed:(spec.Topology.validator_seed i)
-                 ~qset:(spec.Topology.qset_of i))
-            ~genesis ()
-        in
-        let vs = Array.init 4 mk in
-        Array.iter Validator.start vs;
-        let seqs = Array.make 20 0 in
-        let sent = ref 0 in
-        let rec load () =
-          if Stellar_sim.Engine.now engine < 115.0 then begin
-            Validator.submit_tx vs.(!sent mod 4) (payment ~accounts ~seqs (!sent mod 20));
-            incr sent;
-            ignore (Stellar_sim.Engine.schedule engine ~delay:0.4 load)
-          end
-        in
-        ignore (Stellar_sim.Engine.schedule engine ~delay:0.2 load);
+        let engine, _, vs, accounts = validator_net ~seed:7 () in
+        let sent = run_load engine vs accounts ~until:115.0 in
         Stellar_sim.Engine.run ~until:120.0 engine;
         Array.iter Validator.stop vs;
         (* ~24 ledgers, ~290 submitted txs: an unbounded table would hold
@@ -272,13 +314,69 @@ let regression_tests =
            only the last few slots' worth *)
         check bool "made progress" true
           (Stellar_herder.Herder.ledger_seq (Validator.herder vs.(0)) >= 20);
+        check bool "load submitted" true (sent > 250);
         Array.iter
           (fun v ->
-            let sz = Validator.seen_size v in
+            let sz = Validator.seen_size v and wz = Validator.wires_size v in
             check bool (Printf.sprintf "node %d seen table bounded (%d)" (Validator.index v) sz)
-              true (sz < 200))
+              true (sz < 200);
+            check bool (Printf.sprintf "node %d wire table bounded (%d)" (Validator.index v) wz)
+              true (wz < 200))
           vs;
         check bool "helped memo bounded" true (Validator.helped_size vs.(0) < 50));
+    test_case "straggler help and reflood resend held records, encoding nothing" `Quick
+      (fun () ->
+        let engine, network, vs, accounts = validator_net ~seed:8 () in
+        (* every delivery, tagged with the send it came from *)
+        let delivered = ref [] in
+        Array.iteri
+          (fun i _ ->
+            let h = Option.get (Stellar_sim.Network.handler network i) in
+            Stellar_sim.Network.set_handler network i (fun ~src ~info w ->
+                delivered := (info.Stellar_sim.Network.msg_id, w) :: !delivered;
+                h ~src ~info w))
+          vs;
+        let before = Message.encode_count () in
+        ignore
+          (Stellar_sim.Engine.schedule engine ~delay:20.0 (fun () ->
+               Validator.reflood vs.(1) ~copies:2));
+        let sent = run_load engine vs accounts ~until:35.0 in
+        (* drain: every send made under load is delivered *)
+        Stellar_sim.Engine.run ~until:45.0 engine;
+        Array.iter Validator.stop vs;
+        let encodes = Message.encode_count () - before in
+        let total name =
+          Array.fold_left
+            (fun acc v ->
+              acc
+              + Stellar_obs.Registry.counter_value
+                  (Stellar_sim.Network.registry network (Validator.index v))
+                  name)
+            0 vs
+        in
+        check bool "stragglers helped" true (total "flood.straggler_helped" > 0);
+        check bool "refloods" true (total "fault.refloods" = 1);
+        (* the only records built are those of the messages the nodes
+           originated: their own envelopes, the tx sets they built and the
+           txs submitted to them *)
+        check int "one encode per flood origin"
+          (total "flood.own_envelopes" + total "flood.own_tx_sets" + sent)
+          encodes;
+        (* all-to-all over 4 nodes without loss: a flood reaches 2 or 3
+           peers, so a send delivered exactly once is a straggler-help send *)
+        let copies = Hashtbl.create 1024 in
+        List.iter
+          (fun (id, _) ->
+            Hashtbl.replace copies id (1 + Option.value ~default:0 (Hashtbl.find_opt copies id)))
+          !delivered;
+        let help = List.filter (fun (id, _) -> Hashtbl.find copies id = 1) !delivered in
+        check bool "help sends delivered" true (help <> []);
+        List.iter
+          (fun (_, (w : Message.wire)) ->
+            let fresh = Message.wire w.msg in
+            check string "held key" fresh.key w.key;
+            check int "held size" fresh.size w.size)
+          help);
   ]
 
 let () =
