@@ -5,7 +5,8 @@ let full = ref false
 
 let smoke = ref false
 (* --smoke shrinks topologies/durations so CI can run the harness in
-   seconds while still exercising every code path and JSON emitter. *)
+   seconds while still exercising every code path and writing every
+   checked BENCH_*.json artifact. *)
 
 let section title paper =
   Format.printf "@.==================================================================@.";
@@ -31,6 +32,11 @@ let run_scenario ?(spec_n = 4) ?spec ?(accounts = 1_000) ?(rate = 20.0) ?(durati
       latency;
       seed;
     }
+
+let telemetry exp r =
+  match r.Stellar_node.Scenario.telemetry with
+  | Some c -> c
+  | None -> failwith (exp ^ ": scenario ran without telemetry")
 
 let time f =
   let t0 = Unix.gettimeofday () in

@@ -14,22 +14,6 @@ module Obs = Stellar_obs
 
 let seed = 11
 
-(* The attribution accounting identity the report guarantees: per slot,
-   network + timer + cpu must equal externalize − nominate-start to within
-   1 µs of simulated time.  A violation is a bug, not noise — fail loudly. *)
-let check_attribution cps =
-  List.iter
-    (fun cp ->
-      let open Obs.Report in
-      let sum = cp.network_s +. cp.timer_s +. cp.cpu_s in
-      let residual = Float.abs (sum -. cp.cp_total_s) in
-      if residual > 1e-6 then
-        failwith
-          (Printf.sprintf
-             "fig-e2e: slot %d attribution broken: |%.9f - %.9f| = %.3e s > 1us"
-             cp.cp_slot sum cp.cp_total_s residual))
-    cps
-
 let run () =
   Common.section "fig-e2e: end-to-end payment latency vs load"
     "§7.3: payments confirmed ~5s after submission; critical-path attribution";
@@ -62,53 +46,37 @@ let run () =
               observe = true;
             }
         in
-        let telemetry =
-          match r.Stellar_node.Scenario.telemetry with
-          | Some c -> c
-          | None -> failwith "fig-e2e: scenario ran without telemetry"
-        in
-        let trace = Obs.Collector.trace telemetry in
+        let trace = Obs.Collector.trace (Common.telemetry "fig-e2e" r) in
         let e2e = Obs.Report.e2e_latency trace in
         let cps = Obs.Report.critical_paths trace in
-        check_attribution cps;
+        Obs.Report.check_attribution cps;
         let open Obs.Report in
-        let cp_net = List.fold_left (fun a cp -> a +. cp.network_s) 0.0 cps in
-        let cp_timer = List.fold_left (fun a cp -> a +. cp.timer_s) 0.0 cps in
-        let cp_cpu = List.fold_left (fun a cp -> a +. cp.cpu_s) 0.0 cps in
-        let cp_total = List.fold_left (fun a cp -> a +. cp.cp_total_s) 0.0 cps in
+        let sum f = List.fold_left (fun a cp -> a +. f cp) 0.0 cps in
+        let cp_net = sum (fun cp -> cp.network_s) and cp_timer = sum (fun cp -> cp.timer_s) in
         Common.row "%8.0f | %6d | %12.1f | %12.1f | %12.1f | %9.0fms /%8.0fms@." rate
           e2e.n_applied
           (Common.ms e2e.submit_to_externalize.p50)
           (Common.ms e2e.submit_to_externalize.p99)
           (Common.ms e2e.submit_to_apply.p50)
           (Common.ms cp_net) (Common.ms cp_timer);
-        (rate, e2e, cps, cp_net, cp_timer, cp_cpu, cp_total))
+        let ms s = Obs.Json.Fixed (6, Common.ms s) in
+        Obs.Json.(
+          Obj
+            [
+              ("rate", Fixed (1, rate)); ("e2e", e2e_json e2e);
+              ( "critical_path",
+                Obj
+                  [ ("slots", Int (List.length cps)); ("network_ms", ms cp_net);
+                    ("timer_ms", ms cp_timer); ("cpu_ms", ms (sum (fun cp -> cp.cpu_s)));
+                    ("total_ms", ms (sum (fun cp -> cp.cp_total_s))) ] );
+              ("per_slot", critical_paths_json cps);
+            ]))
       rates
   in
   Common.row "shape check: p50 < 5000ms at every rate; attribution sums exact@.";
-  let rate_json (rate, e2e, cps, cp_net, cp_timer, cp_cpu, cp_total) =
-    Printf.sprintf
-      {|{"rate":%.1f,"e2e":%s,"critical_path":{"slots":%d,"network_ms":%.6f,"timer_ms":%.6f,"cpu_ms":%.6f,"total_ms":%.6f},"per_slot":%s}|}
-      rate
-      (Obs.Report.e2e_json e2e)
-      (List.length cps) (Common.ms cp_net) (Common.ms cp_timer) (Common.ms cp_cpu)
-      (Common.ms cp_total)
-      (Obs.Report.critical_paths_json cps)
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"fig-e2e\",\n\
-      \  \"seed\": %d,\n\
-      \  \"nodes\": 4,\n\
-      \  \"accounts\": %d,\n\
-      \  \"duration_s\": %.1f,\n\
-      \  \"rates\": [%s]\n\
-       }\n"
-      seed accounts duration
-      (String.concat ",\n    " (List.map rate_json results))
-  in
-  let oc = open_out "BENCH_e2e.json" in
-  output_string oc json;
-  close_out oc;
-  Common.row "wrote BENCH_e2e.json@."
+  Artifact.write "BENCH_e2e.json"
+    Obs.Json.
+      [
+        ("experiment", String "fig-e2e"); ("seed", Int seed); ("nodes", Int 4);
+        ("accounts", Int accounts); ("duration_s", Fixed (1, duration)); ("rates", List results);
+      ]

@@ -55,12 +55,8 @@ let run_rate ~accounts rate =
         faults;
       }
   in
-  let telemetry =
-    match r.Stellar_node.Scenario.telemetry with
-    | Some c -> c
-    | None -> failwith "fig-liveness: scenario ran without telemetry"
-  in
-  let trace = Obs.Collector.trace telemetry in
+  let trace = Obs.Collector.trace (Common.telemetry "fig-liveness" r) in
+  (* the artifact check fails the run; this says where the chains split *)
   if not r.Stellar_node.Scenario.converged then begin
     let c0 =
       match r.Stellar_node.Scenario.chains with (_, c) :: _ -> Array.of_list c | [] -> [||]
@@ -76,79 +72,54 @@ let run_rate ~accounts rate =
           (List.length c)
           (match List.rev c with h :: _ -> String.sub h 0 12 | [] -> "-")
           !div)
-      r.Stellar_node.Scenario.chains;
-    failwith
-      (Printf.sprintf "fig-liveness: validators did not converge at rate %.0f" rate)
+      r.Stellar_node.Scenario.chains
   end;
   (* every crashed node must have completed an archive catchup on restart *)
-  let catchup_done_nodes =
-    let nodes = ref [] in
-    Obs.Trace.iter trace (fun s ->
-        match s.Obs.Trace.event with
-        | Obs.Event.Catchup_done _ -> nodes := s.Obs.Trace.node :: !nodes
-        | _ -> ());
-    List.sort_uniq Int.compare !nodes
-  in
+  let caught_up = Hashtbl.create 4 in
+  Obs.Trace.iter trace (fun s ->
+      match s.Obs.Trace.event with
+      | Obs.Event.Catchup_done _ -> Hashtbl.replace caught_up s.Obs.Trace.node ()
+      | _ -> ());
   List.iter
     (fun node ->
-      if not (List.mem node catchup_done_nodes) then
-        failwith
-          (Printf.sprintf "fig-liveness: node %d restarted without a Catchup_done event"
-             node))
+      if not (Hashtbl.mem caught_up node) then
+        Printf.ksprintf failwith "fig-liveness: node %d restarted without a Catchup_done event" node)
     crashed_nodes;
   let recoveries = Obs.Report.recoveries ~interval trace in
   let heals = Obs.Report.heals ~interval trace in
-  List.iter
-    (fun rc ->
-      let open Obs.Report in
-      if rc.recover_s = None then
-        failwith
-          (Printf.sprintf "fig-liveness: node %d never resynced after restart" rc.rec_node))
-    recoveries;
-  (match heals with
-  | [] -> failwith "fig-liveness: partition heal left no trace"
-  | hs ->
-      List.iter
-        (fun h ->
-          if h.Obs.Report.heal_recover_s = None then
-            failwith "fig-liveness: a partitioned node never resynced after heal")
-        hs);
+  if heals = [] then failwith "fig-liveness: partition heal left no trace";
+  if List.exists (fun h -> h.Obs.Report.heal_recover_s = None) heals then
+    failwith "fig-liveness: a partitioned node never resynced after heal";
   (* pooled time-to-recover samples: per-crash restart→in-sync plus per-node
      heal→in-sync delays *)
   let samples =
     List.filter_map (fun rc -> rc.Obs.Report.recover_s) recoveries
-    @ List.concat_map
-        (fun h -> List.filter_map snd h.Obs.Report.lagged)
-        heals
+    @ List.concat_map (fun h -> List.filter_map snd h.Obs.Report.lagged) heals
   in
   let q = Obs.Report.quantiles samples in
   (r, recoveries, heals, q)
 
 let rate_json (rate, (r, recoveries, heals, q)) =
-  Printf.sprintf
-    {|{"rate":%.1f,"converged":%b,"ledgers_closed":%d,"final_seq":%d,"recoveries":%s,"heals":%s,"recover_quantiles":%s}|}
-    rate r.Stellar_node.Scenario.converged r.Stellar_node.Scenario.ledgers_closed
-    r.Stellar_node.Scenario.final_ledger_seq
-    (Obs.Report.recoveries_json recoveries)
-    (Obs.Report.heals_json heals)
-    (Obs.Report.quantiles_json q)
+  Obs.Json.(
+    Obj
+      [
+        ("rate", Fixed (1, rate)); ("converged", Bool r.Stellar_node.Scenario.converged);
+        ("ledgers_closed", Int r.Stellar_node.Scenario.ledgers_closed);
+        ("final_seq", Int r.Stellar_node.Scenario.final_ledger_seq);
+        ("recoveries", Obs.Report.recoveries_json recoveries);
+        ("heals", Obs.Report.heals_json heals);
+        ("recover_quantiles", Obs.Report.quantiles_json q);
+      ])
 
 let sweep ~accounts ~rates =
   let results = List.map (fun rate -> (rate, run_rate ~accounts rate)) rates in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"fig-liveness\",\n\
-      \  \"seed\": %d,\n\
-      \  \"nodes\": %d,\n\
-      \  \"accounts\": %d,\n\
-      \  \"duration_s\": %.1f,\n\
-      \  \"rates\": [%s]\n\
-       }\n"
-      seed n_nodes accounts duration
-      (String.concat ",\n    " (List.map rate_json results))
-  in
-  (results, json)
+  ( results,
+    Obs.Json.
+      [
+        ("experiment", String "fig-liveness"); ("seed", Int seed); ("nodes", Int n_nodes);
+        ("accounts", Int accounts); ("duration_s", Fixed (1, duration));
+        ("rates", List (List.map rate_json results));
+      ] )
 
 let run () =
   Common.section "fig-liveness: crash/restart + partition heal under load"
@@ -157,7 +128,7 @@ let run () =
   let rates =
     if !Common.full then [ 50.0; 100.0 ] else if !Common.smoke then [ 5.0 ] else [ 20.0; 50.0 ]
   in
-  let results, json = sweep ~accounts ~rates in
+  let results, doc = sweep ~accounts ~rates in
   Common.row "%8s | %7s | %9s | %10s | %14s | %14s@." "tx/s" "ledgers" "converged"
     "recoveries" "recover p50" "recover max";
   Common.row "---------+---------+-----------+------------+----------------+---------------@.";
@@ -170,11 +141,8 @@ let run () =
     results;
   (* determinism is part of the experiment's contract: the whole sweep run
      again from the same seed must produce the same bytes *)
-  let _, json2 = sweep ~accounts ~rates in
-  if not (String.equal json json2) then
+  let _, doc2 = sweep ~accounts ~rates in
+  if not (String.equal (Obs.Json.document doc) (Obs.Json.document doc2)) then
     failwith "fig-liveness: BENCH_faults.json not deterministic across same-seed runs";
-  Common.row "shape check: all rates converged; catchup traced; two runs byte-identical@.";
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc json;
-  close_out oc;
-  Common.row "wrote BENCH_faults.json@."
+  Artifact.write "BENCH_faults.json" doc;
+  Common.row "shape check: all rates converged; catchup traced; two runs byte-identical@."

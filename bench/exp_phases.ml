@@ -36,11 +36,7 @@ let run () =
         observe = true;
       }
   in
-  let telemetry =
-    match r.Stellar_node.Scenario.telemetry with
-    | Some c -> c
-    | None -> failwith "fig12-phases: scenario ran without telemetry"
-  in
+  let telemetry = Common.telemetry "fig12-phases" r in
   let trace = Obs.Collector.trace telemetry in
   let bd = Obs.Report.breakdown trace in
   let per_slot = Obs.Report.slot_phases trace in
@@ -71,37 +67,18 @@ let run () =
       (List.filter spec.Stellar_node.Topology.is_validator
          (List.init spec.Stellar_node.Topology.n_nodes Fun.id))
   in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"fig12-phases\",\n\
-      \  \"seed\": %d,\n\
-      \  \"nodes\": %d,\n\
-      \  \"validators\": %d,\n\
-      \  \"duration_s\": %.1f,\n\
-      \  \"ledgers_closed\": %d,\n\
-      \  \"phases\": %s,\n\
-      \  \"per_slot\": %s,\n\
-      \  \"flood\": %s,\n\
-      \  \"counters\": {\n\
-      \    \"scp.nominate.start\": %d,\n\
-      \    \"scp.ballot.bump\": %d,\n\
-      \    \"scp.timeout.nomination\": %d,\n\
-      \    \"scp.timeout.ballot\": %d,\n\
-      \    \"flood.unique\": %d,\n\
-      \    \"flood.dup_dropped\": %d,\n\
-      \    \"flood.forwarded\": %d\n\
-      \  }\n\
-       }\n"
-      seed spec.Stellar_node.Topology.n_nodes n_validators duration
-      r.Stellar_node.Scenario.ledgers_closed (breakdown_json bd)
-      (phases_json per_slot) (flood_json flood) (c "scp.nominate.start")
-      (c "scp.ballot.bump")
-      (c "scp.timeout.nomination")
-      (c "scp.timeout.ballot") (c "flood.unique") (c "flood.dup_dropped")
-      (c "flood.forwarded")
+  let counters =
+    [ "scp.nominate.start"; "scp.ballot.bump"; "scp.timeout.nomination"; "scp.timeout.ballot";
+      "flood.unique"; "flood.dup_dropped"; "flood.forwarded" ]
   in
-  let oc = open_out "BENCH_phases.json" in
-  output_string oc json;
-  close_out oc;
-  Common.row "wrote BENCH_phases.json@."
+  Artifact.write "BENCH_phases.json"
+    Obs.Json.
+      [
+        ("experiment", String "fig12-phases"); ("seed", Int seed);
+        ("nodes", Int spec.Stellar_node.Topology.n_nodes); ("validators", Int n_validators);
+        ("duration_s", Fixed (1, duration));
+        ("ledgers_closed", Int r.Stellar_node.Scenario.ledgers_closed);
+        ("phases", breakdown_json bd); ("per_slot", phases_json per_slot);
+        ("flood", flood_json flood);
+        ("counters", Obj (List.map (fun name -> (name, Int (c name))) counters));
+      ]

@@ -21,54 +21,36 @@ let run () =
   let cpu = Sys.time () -. cpu0 in
   let heap = (Gc.stat ()).Gc.live_words - heap0 in
   let open Stellar_node in
-  let n_nodes = spec.Stellar_node.Topology.n_nodes in
-  Common.row "peers (node 0)     : %d   (paper: 28)@."
-    (List.length (spec.Stellar_node.Topology.peers_of 0));
-  Common.row "network in         : %.2f Mbit/s   (paper: 2.78)@."
-    (r.Scenario.bytes_in_per_second *. 8.0 /. 1_000_000.0);
-  Common.row "network out        : %.2f Mbit/s   (paper: 2.56)@."
-    (r.Scenario.bytes_out_per_second *. 8.0 /. 1_000_000.0);
-  Common.row "CPU                : %.1f%% of one core per validator (paper: ~7%%)@."
-    (cpu /. duration /. float_of_int n_nodes *. 100.0);
+  let n_nodes = spec.Topology.n_nodes and peers = List.length (spec.Topology.peers_of 0) in
+  let mbit bytes_per_s = bytes_per_s *. 8.0 /. 1_000_000.0 in
+  let mbit_in = mbit r.Scenario.bytes_in_per_second in
+  let mbit_out = mbit r.Scenario.bytes_out_per_second in
+  let cpu_pct = cpu /. duration /. float_of_int n_nodes *. 100.0 in
+  let apply_ms = Common.ms r.Scenario.apply.mean in
+  Common.row "peers (node 0)     : %d   (paper: 28)@." peers;
+  Common.row "network in         : %.2f Mbit/s   (paper: 2.78)@." mbit_in;
+  Common.row "network out        : %.2f Mbit/s   (paper: 2.56)@." mbit_out;
+  Common.row "CPU                : %.1f%% of one core per validator (paper: ~7%%)@." cpu_pct;
   Common.row "heap growth        : %.1f MiB across %d in-process validators@."
     (float_of_int heap *. 8.0 /. 1024.0 /. 1024.0)
     n_nodes;
-  Common.row "ledger update CPU  : mean %.2fms per ledger@."
-    (Common.ms r.Scenario.apply.mean);
+  Common.row "ledger update CPU  : mean %.2fms per ledger@." apply_ms;
   Common.row "shape check        : commodity-hardware scale; network cost dominates@.";
   (* Persist the measured byte accounting so the perf trajectory is
      tracked across PRs.  Sizes are real XDR encoding lengths. *)
-  let ledgers = max 1 r.Scenario.ledgers_closed in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"experiment\": \"tab-resources\",\n\
-      \  \"duration_s\": %.1f,\n\
-      \  \"nodes\": %d,\n\
-      \  \"peers_node0\": %d,\n\
-      \  \"ledgers_closed\": %d,\n\
-      \  \"txs_applied\": %d,\n\
-      \  \"bytes_in_total_node0\": %d,\n\
-      \  \"bytes_out_total_node0\": %d,\n\
-      \  \"bytes_in_per_ledger\": %.1f,\n\
-      \  \"bytes_out_per_ledger\": %.1f,\n\
-      \  \"mbit_in_per_s\": %.4f,\n\
-      \  \"mbit_out_per_s\": %.4f,\n\
-      \  \"cpu_pct_per_validator\": %.2f,\n\
-      \  \"apply_ms_mean\": %.3f\n\
-       }\n"
-      duration n_nodes
-      (List.length (spec.Stellar_node.Topology.peers_of 0))
-      r.Scenario.ledgers_closed r.Scenario.txs_applied r.Scenario.bytes_in_total
-      r.Scenario.bytes_out_total
-      (float_of_int r.Scenario.bytes_in_total /. float_of_int ledgers)
-      (float_of_int r.Scenario.bytes_out_total /. float_of_int ledgers)
-      (r.Scenario.bytes_in_per_second *. 8.0 /. 1_000_000.0)
-      (r.Scenario.bytes_out_per_second *. 8.0 /. 1_000_000.0)
-      (cpu /. duration /. float_of_int n_nodes *. 100.0)
-      (Common.ms r.Scenario.apply.mean)
-  in
-  let oc = open_out "BENCH_resources.json" in
-  output_string oc json;
-  close_out oc;
-  Common.row "wrote BENCH_resources.json@."
+  let ledgers = float_of_int (max 1 r.Scenario.ledgers_closed) in
+  let per_ledger bytes = Stellar_obs.Json.Fixed (1, float_of_int bytes /. ledgers) in
+  Artifact.write "BENCH_resources.json"
+    Stellar_obs.Json.
+      [
+        ("experiment", String "tab-resources"); ("duration_s", Fixed (1, duration));
+        ("nodes", Int n_nodes); ("peers_node0", Int peers);
+        ("ledgers_closed", Int r.Scenario.ledgers_closed);
+        ("txs_applied", Int r.Scenario.txs_applied);
+        ("bytes_in_total_node0", Int r.Scenario.bytes_in_total);
+        ("bytes_out_total_node0", Int r.Scenario.bytes_out_total);
+        ("bytes_in_per_ledger", per_ledger r.Scenario.bytes_in_total);
+        ("bytes_out_per_ledger", per_ledger r.Scenario.bytes_out_total);
+        ("mbit_in_per_s", Fixed (4, mbit_in)); ("mbit_out_per_s", Fixed (4, mbit_out));
+        ("cpu_pct_per_validator", Fixed (2, cpu_pct)); ("apply_ms_mean", Fixed (3, apply_ms));
+      ]

@@ -209,36 +209,6 @@ let stop_timer t =
   t.timer_cancel <- None;
   t.timer_counter <- -1
 
-(* Forward declaration for the timeout callback. *)
-let abandon_hook : (t -> int -> unit) ref = ref (fun _ _ -> ())
-
-let check_heard_from_quorum t =
-  match t.b with
-  | None -> ()
-  | Some b ->
-      let at_or_above st =
-        match statement_ballot_counter st with
-        | Some n -> n >= b.counter
-        | None -> false
-      in
-      if Federation.is_quorum ~local_qset:(t.get_qset ()) t.latest at_or_above then begin
-        t.heard_from_quorum <- true;
-        if t.phase <> Externalize_phase && t.timer_counter <> b.counter then begin
-          stop_timer t;
-          t.timer_counter <- b.counter;
-          let delay = t.driver.Driver.ballot_timeout ~counter:b.counter in
-          t.timer_cancel <-
-            Some
-              (t.driver.Driver.schedule ~delay (fun () ->
-                   t.driver.Driver.hooks.Driver.on_timeout ~slot:t.slot ~kind:`Ballot;
-                   !abandon_hook t 0))
-        end
-      end
-      else begin
-        t.heard_from_quorum <- false;
-        stop_timer t
-      end
-
 (* ---- state transitions ---- *)
 
 let bump_to_ballot t bal =
@@ -479,42 +449,6 @@ let attempt_confirm_commit t =
             true)
     | _ -> false
 
-(* Jump forward when a v-blocking set is strictly ahead (§3.2.4). *)
-let attempt_bump t =
-  if t.phase = Externalize_phase then false
-  else
-    match t.b with
-    | None -> false
-    | Some b ->
-        let counters =
-          NM.fold
-            (fun _ st acc ->
-              match statement_ballot_counter st with
-              | Some n when n > b.counter && not (List.mem n acc) -> n :: acc
-              | _ -> acc)
-            t.latest []
-          |> List.sort Int.compare
-        in
-        let ahead_of n st =
-          match statement_ballot_counter st with Some m -> m > n | None -> false
-        in
-        if
-          counters <> []
-          && Federation.is_v_blocking_set ~local_qset:(t.get_qset ()) t.latest (ahead_of b.counter)
-        then begin
-          (* Lowest counter such that the set strictly ahead of it is no
-             longer v-blocking. *)
-          let target =
-            List.find
-              (fun n ->
-                not (Federation.is_v_blocking_set ~local_qset:(t.get_qset ()) t.latest (ahead_of n)))
-              counters
-          in
-          !abandon_hook t target;
-          true
-        end
-        else false
-
 (* ---- driving ---- *)
 
 let rec advance_slot t =
@@ -562,7 +496,70 @@ and abandon t n =
       in
       bump_state t ~value ~counter
 
-let () = abandon_hook := abandon
+(* Jump forward when a v-blocking set is strictly ahead (§3.2.4). *)
+and attempt_bump t =
+  if t.phase = Externalize_phase then false
+  else
+    match t.b with
+    | None -> false
+    | Some b ->
+        let counters =
+          NM.fold
+            (fun _ st acc ->
+              match statement_ballot_counter st with
+              | Some n when n > b.counter && not (List.mem n acc) -> n :: acc
+              | _ -> acc)
+            t.latest []
+          |> List.sort Int.compare
+        in
+        let ahead_of n st =
+          match statement_ballot_counter st with Some m -> m > n | None -> false
+        in
+        if
+          counters <> []
+          && Federation.is_v_blocking_set ~local_qset:(t.get_qset ()) t.latest (ahead_of b.counter)
+        then begin
+          (* Lowest counter such that the set strictly ahead of it is no
+             longer v-blocking. *)
+          let target =
+            List.find
+              (fun n ->
+                not (Federation.is_v_blocking_set ~local_qset:(t.get_qset ()) t.latest (ahead_of n)))
+              counters
+          in
+          abandon t target;
+          true
+        end
+        else false
+
+(* Arm the ballot timer once a quorum is at or above the current counter
+   (§3.2.4); when it fires, abandon the ballot. *)
+and check_heard_from_quorum t =
+  match t.b with
+  | None -> ()
+  | Some b ->
+      let at_or_above st =
+        match statement_ballot_counter st with
+        | Some n -> n >= b.counter
+        | None -> false
+      in
+      if Federation.is_quorum ~local_qset:(t.get_qset ()) t.latest at_or_above then begin
+        t.heard_from_quorum <- true;
+        if t.phase <> Externalize_phase && t.timer_counter <> b.counter then begin
+          stop_timer t;
+          t.timer_counter <- b.counter;
+          let delay = t.driver.Driver.ballot_timeout ~counter:b.counter in
+          t.timer_cancel <-
+            Some
+              (t.driver.Driver.schedule ~delay (fun () ->
+                   t.driver.Driver.hooks.Driver.on_timeout ~slot:t.slot ~kind:`Ballot;
+                   abandon t 0))
+        end
+      end
+      else begin
+        t.heard_from_quorum <- false;
+        stop_timer t
+      end
 
 let bump t ~value ~force =
   if t.phase <> Prepare_phase && t.phase <> Confirm_phase then false

@@ -67,47 +67,42 @@ let name = function
   | Catchup_begin _ -> "catchup.begin"
   | Catchup_done _ -> "catchup.done"
 
-let timeout_kind_name = function `Nomination -> "nomination" | `Ballot -> "ballot"
-let drop_reason_name = function `Duplicate -> "duplicate" | `Stale -> "stale"
-
-(* Payload as a JSON fragment (comma-prefixed key/values, no braces).  All
-   float formatting is fixed-width so traces are byte-identical across runs
-   with the same seed. *)
-let fields = function
-  | Nominate_start { slot } -> Printf.sprintf {|,"slot":%d|} slot
-  | Nomination_round { slot; round } -> Printf.sprintf {|,"slot":%d,"round":%d|} slot round
-  | First_vote { slot; counter } | Ballot_bump { slot; counter } ->
-      Printf.sprintf {|,"slot":%d,"counter":%d|} slot counter
-  | Confirm_prepare { slot } | Externalize { slot } -> Printf.sprintf {|,"slot":%d|} slot
-  | Timeout_fired { slot; kind } ->
-      Printf.sprintf {|,"slot":%d,"kind":"%s"|} slot (timeout_kind_name kind)
+(* Payload members after the stamp.  Floats have fixed digits, so traces
+   are byte-identical across runs with the same seed. *)
+let fields =
+  let open Json in
+  let slot s = ("slot", Int s) and secs x = Fixed (9, x) in
+  function
+  | Nominate_start { slot = s } | Confirm_prepare { slot = s } | Externalize { slot = s } ->
+      [ slot s ]
+  | Nomination_round { slot = s; round } -> [ slot s; ("round", Int round) ]
+  | First_vote { slot = s; counter } | Ballot_bump { slot = s; counter } ->
+      [ slot s; ("counter", Int counter) ]
+  | Timeout_fired { slot = s; kind } ->
+      let kind = match kind with `Nomination -> "nomination" | `Ballot -> "ballot" in
+      [ slot s; ("kind", String kind) ]
   | Flood_send { kind; bytes; fanout; msg_id } ->
-      Printf.sprintf {|,"kind":"%s","bytes":%d,"fanout":%d,"msg_id":%d|} kind bytes fanout
-        msg_id
+      [ ("kind", String kind); ("bytes", Int bytes); ("fanout", Int fanout);
+        ("msg_id", Int msg_id) ]
   | Flood_recv { kind; bytes; src; send_id; link_s; wait_s; proc_s } ->
-      Printf.sprintf
-        {|,"kind":"%s","bytes":%d,"src":%d,"send_id":%d,"link_s":%.9f,"wait_s":%.9f,"proc_s":%.9f|}
-        kind bytes src send_id link_s wait_s proc_s
+      [ ("kind", String kind); ("bytes", Int bytes); ("src", Int src); ("send_id", Int send_id);
+        ("link_s", secs link_s); ("wait_s", secs wait_s); ("proc_s", secs proc_s) ]
   | Dedup_drop { kind; src; bytes } ->
-      Printf.sprintf {|,"kind":"%s","src":%d,"bytes":%d|} kind src bytes
-  | Apply_begin { slot; txs; ops } | Apply_end { slot; txs; ops } ->
-      Printf.sprintf {|,"slot":%d,"txs":%d,"ops":%d|} slot txs ops
-  | Bucket_merge { level; entries } ->
-      Printf.sprintf {|,"level":%d,"entries":%d|} level entries
-  | Span_begin { name; slot } -> Printf.sprintf {|,"name":"%s","slot":%d|} name slot
-  | Span_end { name; slot; dur_s } ->
-      Printf.sprintf {|,"name":"%s","slot":%d,"dur_s":%.6f|} name slot dur_s
-  | Tx_submit { tx } | Tx_flooded { tx } -> Printf.sprintf {|,"tx":"%s"|} tx
-  | Tx_in_txset { tx; slot } | Tx_externalized { tx; slot } ->
-      Printf.sprintf {|,"tx":"%s","slot":%d|} tx slot
-  | Tx_applied { tx; slot; ok } ->
-      Printf.sprintf {|,"tx":"%s","slot":%d,"ok":%b|} tx slot ok
+      [ ("kind", String kind); ("src", Int src); ("bytes", Int bytes) ]
+  | Apply_begin { slot = s; txs; ops } | Apply_end { slot = s; txs; ops } ->
+      [ slot s; ("txs", Int txs); ("ops", Int ops) ]
+  | Bucket_merge { level; entries } -> [ ("level", Int level); ("entries", Int entries) ]
+  | Span_begin { name; slot = s } -> [ ("name", String name); slot s ]
+  | Span_end { name; slot = s; dur_s } ->
+      [ ("name", String name); slot s; ("dur_s", Fixed (6, dur_s)) ]
+  | Tx_submit { tx } | Tx_flooded { tx } -> [ ("tx", String tx) ]
+  | Tx_in_txset { tx; slot = s } | Tx_externalized { tx; slot = s } ->
+      [ ("tx", String tx); slot s ]
+  | Tx_applied { tx; slot = s; ok } -> [ ("tx", String tx); slot s; ("ok", Bool ok) ]
   | Tx_dropped { tx; reason } ->
-      Printf.sprintf {|,"tx":"%s","reason":"%s"|} tx (drop_reason_name reason)
-  | Node_crash | Node_restart | Partition_heal -> ""
-  | Partition_begin { groups } ->
-      Printf.sprintf {|,"groups":[%s]|}
-        (String.concat "," (List.map string_of_int groups))
-  | Catchup_begin { from_seq } -> Printf.sprintf {|,"from_seq":%d|} from_seq
-  | Catchup_done { to_seq; replayed } ->
-      Printf.sprintf {|,"to_seq":%d,"replayed":%d|} to_seq replayed
+      let reason = match reason with `Duplicate -> "duplicate" | `Stale -> "stale" in
+      [ ("tx", String tx); ("reason", String reason) ]
+  | Node_crash | Node_restart | Partition_heal -> []
+  | Partition_begin { groups } -> [ ("groups", List (List.map (fun g -> Int g) groups)) ]
+  | Catchup_begin { from_seq } -> [ ("from_seq", Int from_seq) ]
+  | Catchup_done { to_seq; replayed } -> [ ("to_seq", Int to_seq); ("replayed", Int replayed) ]

@@ -80,8 +80,6 @@ type t =
 val name : t -> string
 (** Stable dotted event name ("flood.send", "tx.applied", ...). *)
 
-val timeout_kind_name : timeout_kind -> string
-val drop_reason_name : drop_reason -> string
-
-val fields : t -> string
-(** Payload as a comma-prefixed JSON fragment; deterministic formatting. *)
+val fields : t -> (string * Json.t) list
+(** Payload members, in the order {!Trace.to_jsonl} prints them after the
+    stamp; floats have fixed digits. *)

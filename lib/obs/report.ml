@@ -316,6 +316,15 @@ let critical_paths ?(node = 0) trace =
     exts []
   |> List.sort (fun a b -> Int.compare a.cp_slot b.cp_slot)
 
+let check_attribution cps =
+  List.iter
+    (fun cp ->
+      let sum = cp.network_s +. cp.timer_s +. cp.cpu_s in
+      if not (Float.abs (sum -. cp.cp_total_s) <= 1e-6) then
+        Printf.ksprintf failwith "slot %d: network + timer + cpu = %.9f s, total %.9f s (> 1 us)"
+          cp.cp_slot sum cp.cp_total_s)
+    cps
+
 (* ---- transaction lifecycle (per tx hash) ---- *)
 
 type tx_life = {
@@ -427,7 +436,7 @@ let e2e_latency ?(apply_cost = default_apply_cost) trace =
 type recovery = {
   rec_node : int;
   t_crash : float;
-  t_restart : float;
+  t_restart : float option;
   catchup_from : int;  (** checkpoint seq the restart bootstrapped from *)
   catchup_to : int;  (** archive tip reached by replay *)
   replayed : int;
@@ -522,7 +531,7 @@ let recoveries ?(interval = 5.0) trace =
               {
                 rec_node = node;
                 t_crash;
-                t_restart = nan;
+                t_restart = None;
                 catchup_from = 0;
                 catchup_to = 0;
                 replayed = 0;
@@ -541,7 +550,7 @@ let recoveries ?(interval = 5.0) trace =
               {
                 rec_node = node;
                 t_crash;
-                t_restart;
+                t_restart = Some t_restart;
                 catchup_from;
                 catchup_to;
                 replayed;
@@ -626,81 +635,76 @@ let spans trace =
       | _ -> ());
   List.rev !out
 
-(* ---- JSON fragments (deterministic formatting) ---- *)
+(* ---- JSON values (durations in ms, times in s, 6 decimals) ---- *)
 
-let ms s = s *. 1000.0
+let secs s = Json.Fixed (6, s)
+let ms s = secs (s *. 1000.0)
+let opt_secs = function None -> Json.Null | Some s -> secs s
 
 let quantiles_json q =
-  Printf.sprintf {|{"n":%d,"mean_ms":%.6f,"p50_ms":%.6f,"p99_ms":%.6f,"max_ms":%.6f}|}
-    q.n (ms q.mean) (ms q.p50) (ms q.p99) (ms q.max)
+  Json.Obj
+    [ ("n", Int q.n); ("mean_ms", ms q.mean); ("p50_ms", ms q.p50); ("p99_ms", ms q.p99);
+      ("max_ms", ms q.max) ]
 
 let breakdown_json b =
-  Printf.sprintf
-    {|{"slots":%d,"nomination":%s,"ballot":%s,"apply":%s,"total":%s}|}
-    b.n_slots (quantiles_json b.nomination) (quantiles_json b.ballot)
-    (quantiles_json b.apply) (quantiles_json b.total)
+  Json.Obj
+    [ ("slots", Int b.n_slots); ("nomination", quantiles_json b.nomination);
+      ("ballot", quantiles_json b.ballot); ("apply", quantiles_json b.apply);
+      ("total", quantiles_json b.total) ]
 
 let phases_json ph =
-  let one p =
-    Printf.sprintf
-      {|{"slot":%d,"nomination_ms":%.6f,"ballot_ms":%.6f,"apply_ms":%.6f,"total_ms":%.6f}|}
-      p.slot (ms p.nomination_s) (ms p.ballot_s) (ms p.apply_s) (ms p.total_s)
-  in
-  "[" ^ String.concat "," (List.map one ph) ^ "]"
+  Json.List
+    (List.map
+       (fun p ->
+         Json.Obj
+           [ ("slot", Int p.slot); ("nomination_ms", ms p.nomination_s);
+             ("ballot_ms", ms p.ballot_s); ("apply_ms", ms p.apply_s); ("total_ms", ms p.total_s) ])
+       ph)
 
 let flood_json fl =
-  let one (node, f) =
-    Printf.sprintf
-      {|{"node":%d,"sent_copies":%d,"received":%d,"dup_dropped":%d,"dup_bytes":%d,"amplification":%.6f}|}
-      node f.sent_copies f.received f.dup_dropped f.dup_bytes f.amplification
-  in
-  "[" ^ String.concat "," (List.map one fl) ^ "]"
+  Json.List
+    (List.map
+       (fun (node, f) ->
+         Json.Obj
+           [ ("node", Int node); ("sent_copies", Int f.sent_copies); ("received", Int f.received);
+             ("dup_dropped", Int f.dup_dropped); ("dup_bytes", Int f.dup_bytes);
+             ("amplification", secs f.amplification) ])
+       fl)
 
 let critical_paths_json cps =
-  let one cp =
-    Printf.sprintf
-      {|{"slot":%d,"hops":%d,"network_ms":%.6f,"timer_ms":%.6f,"cpu_ms":%.6f,"total_ms":%.6f}|}
-      cp.cp_slot (List.length cp.hops) (ms cp.network_s) (ms cp.timer_s) (ms cp.cpu_s)
-      (ms cp.cp_total_s)
-  in
-  "[" ^ String.concat "," (List.map one cps) ^ "]"
+  Json.List
+    (List.map
+       (fun cp ->
+         Json.Obj
+           [ ("slot", Int cp.cp_slot); ("hops", Int (List.length cp.hops));
+             ("network_ms", ms cp.network_s); ("timer_ms", ms cp.timer_s); ("cpu_ms", ms cp.cpu_s);
+             ("total_ms", ms cp.cp_total_s) ])
+       cps)
 
 let e2e_json e =
-  Printf.sprintf
-    {|{"submitted":%d,"externalized":%d,"applied":%d,"dropped":%d,"submit_to_externalize":%s,"submit_to_apply":%s}|}
-    e.n_submitted e.n_externalized e.n_applied e.n_dropped
-    (quantiles_json e.submit_to_externalize)
-    (quantiles_json e.submit_to_apply)
-
-let float_opt_json = function None -> "null" | Some v -> Printf.sprintf "%.6f" v
+  Json.Obj
+    [ ("submitted", Int e.n_submitted); ("externalized", Int e.n_externalized);
+      ("applied", Int e.n_applied); ("dropped", Int e.n_dropped);
+      ("submit_to_externalize", quantiles_json e.submit_to_externalize);
+      ("submit_to_apply", quantiles_json e.submit_to_apply) ]
 
 let recoveries_json rs =
   let one r =
-    Printf.sprintf
-      {|{"node":%d,"t_crash":%.6f,"t_restart":%.6f,"catchup_from":%d,"catchup_to":%d,"replayed":%d,"t_resync":%s,"recover_s":%s}|}
-      r.rec_node r.t_crash r.t_restart r.catchup_from r.catchup_to r.replayed
-      (float_opt_json r.t_resync)
-      (float_opt_json r.recover_s)
+    Json.Obj
+      [ ("node", Int r.rec_node); ("t_crash", secs r.t_crash); ("t_restart", opt_secs r.t_restart);
+        ("catchup_from", Int r.catchup_from); ("catchup_to", Int r.catchup_to);
+        ("replayed", Int r.replayed); ("t_resync", opt_secs r.t_resync);
+        ("recover_s", opt_secs r.recover_s) ]
   in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match compare a.rec_node b.rec_node with
-        | 0 -> compare a.t_crash b.t_crash
-        | c -> c)
-      rs
-  in
-  "[" ^ String.concat "," (List.map one sorted) ^ "]"
+  let by_node_then_time a b = compare (a.rec_node, a.t_crash) (b.rec_node, b.t_crash) in
+  Json.List (List.map one (List.sort by_node_then_time rs))
 
 let heals_json hs =
+  let lagged (node, d) = Json.Obj [ ("node", Int node); ("recover_s", opt_secs d) ] in
   let one h =
-    let lagged =
-      List.sort (fun (a, _) (b, _) -> compare a b) h.lagged
-      |> List.map (fun (node, d) ->
-             Printf.sprintf {|{"node":%d,"recover_s":%s}|} node (float_opt_json d))
-    in
-    Printf.sprintf {|{"t_split":%.6f,"t_heal":%.6f,"lagged":[%s],"recover_s":%s}|}
-      h.t_split h.t_heal (String.concat "," lagged)
-      (float_opt_json h.heal_recover_s)
+    Json.Obj
+      [ ("t_split", secs h.t_split); ("t_heal", secs h.t_heal);
+        ("lagged", List (List.map lagged (List.sort (fun (a, _) (b, _) -> compare a b) h.lagged)));
+        ("recover_s", opt_secs h.heal_recover_s) ]
   in
-  "[" ^ String.concat "," (List.map one hs) ^ "]"
+  Json.List (List.map one hs)

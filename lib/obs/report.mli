@@ -100,6 +100,10 @@ val critical_paths : ?node:int -> Trace.t -> critical_path list
 (** One path per slot [node] (default 0) both nominated and externalized,
     sorted by slot. *)
 
+val check_attribution : critical_path list -> unit
+(** Fails unless [network_s + timer_s + cpu_s = cp_total_s] within 1 µs
+    on every path: a violation is a bug in the walk, not noise. *)
+
 (** {2 Transaction lifecycle} *)
 
 type tx_life = {
@@ -147,7 +151,7 @@ val spans : Trace.t -> (int * string * int * float * float) list
 type recovery = {
   rec_node : int;
   t_crash : float;
-  t_restart : float;  (** [nan] if the node never restarted *)
+  t_restart : float option;  (** [None] if the node never restarted *)
   catchup_from : int;  (** checkpoint seq the restart bootstrapped from *)
   catchup_to : int;  (** archive tip reached by replay *)
   replayed : int;
@@ -172,16 +176,16 @@ type heal_report = {
 val heals : ?interval:float -> Trace.t -> heal_report list
 (** One record per [Partition_begin]/[Partition_heal] pair, in order. *)
 
-(** JSON fragments with deterministic formatting (durations in ms). *)
+(** JSON values: durations in ms, times in s, 6 decimals; absent times are [null]. *)
 
-val quantiles_json : quantiles -> string
-val breakdown_json : breakdown -> string
-val phases_json : phases list -> string
-val flood_json : (int * flood) list -> string
-val critical_paths_json : critical_path list -> string
-val e2e_json : e2e -> string
+val quantiles_json : quantiles -> Json.t
+val breakdown_json : breakdown -> Json.t
+val phases_json : phases list -> Json.t
+val flood_json : (int * flood) list -> Json.t
+val critical_paths_json : critical_path list -> Json.t
+val e2e_json : e2e -> Json.t
 
-val recoveries_json : recovery list -> string
-(** Sorted by (node, t_crash); absent times render as [null]. *)
+val recoveries_json : recovery list -> Json.t
+(** Sorted by (node, t_crash). *)
 
-val heals_json : heal_report list -> string
+val heals_json : heal_report list -> Json.t

@@ -27,8 +27,11 @@ let events t = List.rev t.rev_events
 let iter t f = List.iter f (events t)
 
 let line s =
-  Printf.sprintf {|{"seq":%d,"t":%.6f,"node":%d,"ev":"%s"%s}|} s.seq s.time s.node
-    (Event.name s.event) (Event.fields s.event)
+  Json.(
+    compact
+      (Obj
+         (("seq", Int s.seq) :: ("t", Fixed (6, s.time)) :: ("node", Int s.node)
+         :: ("ev", String (Event.name s.event)) :: Event.fields s.event)))
 
 let to_jsonl t =
   let buf = Buffer.create (t.n * 64) in

@@ -186,9 +186,13 @@ let test_trace_deterministic () =
   Alcotest.(check string) "JSONL byte-identical" j1 j2;
   let report c =
     let tr = Obs.Collector.trace c in
-    Obs.Report.breakdown_json (Obs.Report.breakdown tr)
-    ^ Obs.Report.phases_json (Obs.Report.slot_phases tr)
-    ^ Obs.Report.flood_json (Obs.Report.flood_stats tr)
+    Obs.Json.compact
+      (List
+         [
+           Obs.Report.breakdown_json (Obs.Report.breakdown tr);
+           Obs.Report.phases_json (Obs.Report.slot_phases tr);
+           Obs.Report.flood_json (Obs.Report.flood_stats tr);
+         ])
   in
   Alcotest.(check string) "derived report identical" (report t1) (report t2)
 
@@ -338,8 +342,12 @@ let test_e2e_deterministic () =
   let json seed =
     let r = observed_run seed in
     let tr = Obs.Collector.trace (Option.get r.Stellar_node.Scenario.telemetry) in
-    Obs.Report.e2e_json (Obs.Report.e2e_latency tr)
-    ^ Obs.Report.critical_paths_json (Obs.Report.critical_paths tr)
+    Obs.Json.compact
+      (List
+         [
+           Obs.Report.e2e_json (Obs.Report.e2e_latency tr);
+           Obs.Report.critical_paths_json (Obs.Report.critical_paths tr);
+         ])
   in
   let j1 = json 9 and j2 = json 9 in
   Alcotest.(check bool) "non-empty" true (String.length j1 > 60);
@@ -388,6 +396,244 @@ let test_dedup_bytes () =
     (Obs.Registry.counter_value agg "flood.dup_bytes")
     total_dup_bytes
 
+(* ---- the JSON writer and the artifact checks ---- *)
+
+let test_json_document () =
+  let open Obs.Json in
+  Alcotest.(check string) "one layout rule"
+    {|{
+  "a": 1,
+  "counters": {
+    "x": 1,
+    "y": 0.50
+  },
+  "rates": [{"r":1,"q":{}},
+    {"r":2,"q":[]}],
+  "flat": [{"s":1},{"s":2}],
+  "nested": {"n":{"m":null}},
+  "empty": {},
+  "scalars": [true,"s",-3]
+}
+|}
+    (document
+       [
+         ("a", Int 1);
+         ("counters", Obj [ ("x", Int 1); ("y", Fixed (2, 0.5)) ]);
+         ("rates", List [ Obj [ ("r", Int 1); ("q", Obj []) ]; Obj [ ("r", Int 2); ("q", List []) ] ]);
+         ("flat", List [ Obj [ ("s", Int 1) ]; Obj [ ("s", Int 2) ] ]);
+         ("nested", Obj [ ("n", Obj [ ("m", Null) ]) ]);
+         ("empty", Obj []);
+         ("scalars", List [ Bool true; String "s"; Int (-3) ]);
+       ])
+
+let test_json_scalars () =
+  let open Obs.Json in
+  let c = Alcotest.(check string) in
+  c "escaped" {|"q\"b\\s\n\r\t\u0001\u001f/é"|} (compact (String "q\"b\\s\n\r\t\001\031/é"));
+  c "escaped keys" {|{"k\"":false}|} (compact (Obj [ ("k\"", Bool false) ]));
+  c "digits" "[0.100000000,60.0,-1.235,2,12.2038]"
+    (compact
+       (List [ Fixed (9, 0.1); Fixed (1, 60.0); Fixed (3, -1.23456); Fixed (0, 2.5); Fixed (4, 12.20381) ]));
+  List.iter
+    (fun x ->
+      match compact (List [ Fixed (6, x) ]) with
+      | exception Invalid_argument _ -> ()
+      | s -> Alcotest.failf "non-finite float written as %s" s)
+    [ nan; infinity; neg_infinity ];
+  match document [ ("x", Fixed (6, nan)) ] with
+  | exception Invalid_argument _ -> ()
+  | s -> Alcotest.failf "non-finite float written as %s" s
+
+(* One event of every payload shape, printed as the trace format has
+   always printed it. *)
+let test_trace_golden () =
+  let trace = Obs.Trace.create () in
+  List.iteri
+    (fun i ev -> Obs.Trace.record trace ~time:(0.125 *. float_of_int i) ~node:(i mod 3) ev)
+    Obs.Event.
+      [
+        Nominate_start { slot = 2 };
+        Nomination_round { slot = 2; round = 1 };
+        First_vote { slot = 2; counter = 1 };
+        Ballot_bump { slot = 2; counter = 3 };
+        Confirm_prepare { slot = 2 };
+        Externalize { slot = 2 };
+        Timeout_fired { slot = 2; kind = `Nomination };
+        Timeout_fired { slot = 3; kind = `Ballot };
+        Flood_send { kind = "envelope"; bytes = 180; fanout = 3; msg_id = 7 };
+        Flood_recv
+          {
+            kind = "txset";
+            bytes = 44;
+            src = 1;
+            send_id = 7;
+            link_s = 0.0125;
+            wait_s = 1e-10;
+            proc_s = 0.000333;
+          };
+        Dedup_drop { kind = "tx"; src = 2; bytes = 96 };
+        Apply_begin { slot = 2; txs = 4; ops = 5 };
+        Apply_end { slot = 2; txs = 4; ops = 5 };
+        Bucket_merge { level = 1; entries = 12 };
+        Span_begin { name = "close"; slot = 2 };
+        Span_end { name = "close"; slot = 2; dur_s = 0.0015 };
+        Tx_submit { tx = "ab01" };
+        Tx_flooded { tx = "ab01" };
+        Tx_in_txset { tx = "ab01"; slot = 2 };
+        Tx_externalized { tx = "ab01"; slot = 2 };
+        Tx_applied { tx = "ab01"; slot = 2; ok = true };
+        Tx_applied { tx = "cd02"; slot = 2; ok = false };
+        Tx_dropped { tx = "cd02"; reason = `Duplicate };
+        Tx_dropped { tx = "ef03"; reason = `Stale };
+        Node_crash;
+        Node_restart;
+        Partition_begin { groups = [ 0; 0; 1 ] };
+        Partition_begin { groups = [] };
+        Partition_heal;
+        Catchup_begin { from_seq = 8 };
+        Catchup_done { to_seq = 11; replayed = 3 };
+      ];
+  let expected =
+    [
+      {|{"seq":0,"t":0.000000,"node":0,"ev":"nominate.start","slot":2}|};
+      {|{"seq":1,"t":0.125000,"node":1,"ev":"nomination.round","slot":2,"round":1}|};
+      {|{"seq":2,"t":0.250000,"node":2,"ev":"ballot.first","slot":2,"counter":1}|};
+      {|{"seq":3,"t":0.375000,"node":0,"ev":"ballot.bump","slot":2,"counter":3}|};
+      {|{"seq":4,"t":0.500000,"node":1,"ev":"phase.confirm","slot":2}|};
+      {|{"seq":5,"t":0.625000,"node":2,"ev":"phase.externalize","slot":2}|};
+      {|{"seq":6,"t":0.750000,"node":0,"ev":"timeout","slot":2,"kind":"nomination"}|};
+      {|{"seq":7,"t":0.875000,"node":1,"ev":"timeout","slot":3,"kind":"ballot"}|};
+      {|{"seq":8,"t":1.000000,"node":2,"ev":"flood.send","kind":"envelope","bytes":180,"fanout":3,"msg_id":7}|};
+      {|{"seq":9,"t":1.125000,"node":0,"ev":"flood.recv","kind":"txset","bytes":44,"src":1,"send_id":7,"link_s":0.012500000,"wait_s":0.000000000,"proc_s":0.000333000}|};
+      {|{"seq":10,"t":1.250000,"node":1,"ev":"flood.dup","kind":"tx","src":2,"bytes":96}|};
+      {|{"seq":11,"t":1.375000,"node":2,"ev":"apply.begin","slot":2,"txs":4,"ops":5}|};
+      {|{"seq":12,"t":1.500000,"node":0,"ev":"apply.end","slot":2,"txs":4,"ops":5}|};
+      {|{"seq":13,"t":1.625000,"node":1,"ev":"bucket.merge","level":1,"entries":12}|};
+      {|{"seq":14,"t":1.750000,"node":2,"ev":"span.begin","name":"close","slot":2}|};
+      {|{"seq":15,"t":1.875000,"node":0,"ev":"span.end","name":"close","slot":2,"dur_s":0.001500}|};
+      {|{"seq":16,"t":2.000000,"node":1,"ev":"tx.submit","tx":"ab01"}|};
+      {|{"seq":17,"t":2.125000,"node":2,"ev":"tx.flooded","tx":"ab01"}|};
+      {|{"seq":18,"t":2.250000,"node":0,"ev":"tx.txset","tx":"ab01","slot":2}|};
+      {|{"seq":19,"t":2.375000,"node":1,"ev":"tx.externalized","tx":"ab01","slot":2}|};
+      {|{"seq":20,"t":2.500000,"node":2,"ev":"tx.applied","tx":"ab01","slot":2,"ok":true}|};
+      {|{"seq":21,"t":2.625000,"node":0,"ev":"tx.applied","tx":"cd02","slot":2,"ok":false}|};
+      {|{"seq":22,"t":2.750000,"node":1,"ev":"tx.dropped","tx":"cd02","reason":"duplicate"}|};
+      {|{"seq":23,"t":2.875000,"node":2,"ev":"tx.dropped","tx":"ef03","reason":"stale"}|};
+      {|{"seq":24,"t":3.000000,"node":0,"ev":"fault.crash"}|};
+      {|{"seq":25,"t":3.125000,"node":1,"ev":"fault.restart"}|};
+      {|{"seq":26,"t":3.250000,"node":2,"ev":"fault.partition","groups":[0,0,1]}|};
+      {|{"seq":27,"t":3.375000,"node":0,"ev":"fault.partition","groups":[]}|};
+      {|{"seq":28,"t":3.500000,"node":1,"ev":"fault.heal"}|};
+      {|{"seq":29,"t":3.625000,"node":2,"ev":"catchup.begin","from_seq":8}|};
+      {|{"seq":30,"t":3.750000,"node":0,"ev":"catchup.done","to_seq":11,"replayed":3}|};
+    ]
+  in
+  Alcotest.(check string) "JSONL"
+    (String.concat "" (List.map (fun l -> l ^ "\n") expected))
+    (Obs.Trace.to_jsonl trace)
+
+(* Fault.validate allows a crash with no restart: the recovery has no
+   restart time, and its JSON says null rather than nan. *)
+let test_crash_without_restart () =
+  let trace = Obs.Trace.create () in
+  Obs.Trace.record trace ~time:1.0 ~node:0 (Obs.Event.Externalize { slot = 2 });
+  Obs.Trace.record trace ~time:4.0 ~node:3 Obs.Event.Node_crash;
+  match Obs.Report.recoveries trace with
+  | [ rc ] ->
+      Alcotest.(check (option (float 0.0))) "no restart" None rc.Obs.Report.t_restart;
+      Alcotest.(check string) "null in JSON"
+        {|[{"node":3,"t_crash":4.000000,"t_restart":null,"catchup_from":0,"catchup_to":0,"replayed":0,"t_resync":null,"recover_s":null}]|}
+        (Obs.Json.compact (Obs.Report.recoveries_json [ rc ]))
+  | l -> Alcotest.failf "expected 1 recovery, got %d" (List.length l)
+
+let rejects what f =
+  match f () with
+  | exception Failure _ -> ()
+  | () -> Alcotest.failf "accepted %s" what
+
+let test_attribution_check () =
+  let cp total =
+    Obs.Report.
+      {
+        cp_slot = 3;
+        cp_node = 0;
+        t_start = 1.0;
+        t_externalize = 1.0 +. total;
+        hops = [];
+        network_s = 0.5;
+        timer_s = 0.25;
+        cpu_s = 0.125;
+        cp_total_s = total;
+      }
+  in
+  Obs.Report.check_attribution [ cp 0.875; cp (0.875 +. 0.9e-6) ];
+  rejects "a slot off by 2 us" (fun () -> Obs.Report.check_attribution [ cp 0.875; cp 0.875002 ]);
+  rejects "a nan total" (fun () -> Obs.Report.check_attribution [ cp nan ])
+
+let e2e_point ~total_ms =
+  Obs.Json.(
+    Obj
+      [
+        ("rate", Fixed (1, 10.0));
+        ( "critical_path",
+          Obj
+            [
+              ("network_ms", Fixed (6, 4.0));
+              ("timer_ms", Fixed (6, 5.0));
+              ("cpu_ms", Fixed (6, 1.0));
+              ("total_ms", Fixed (6, total_ms));
+            ] );
+      ])
+
+let e2e_doc points =
+  Obs.Json.
+    [
+      ("experiment", String "fig-e2e");
+      ("seed", Int 11);
+      ("nodes", Int 4);
+      ("accounts", Int 500);
+      ("rates", List points);
+    ]
+
+let fault_point ?(converged = true) recoveries =
+  Obs.Json.(
+    Obj
+      [
+        ("rate", Fixed (1, 5.0));
+        ("converged", Bool converged);
+        ( "recoveries",
+          List (List.map (fun r -> Obj [ ("node", Int 5); ("recover_s", r) ]) recoveries) );
+      ])
+
+let faults_doc points =
+  Obs.Json.
+    [
+      ("experiment", String "fig-liveness");
+      ("seed", Int 17);
+      ("nodes", Int 7);
+      ("accounts", Int 300);
+      ("duration_s", Fixed (1, 75.0));
+      ("rates", List points);
+    ]
+
+let test_artifact_checks () =
+  let e2e = Artifact.check "BENCH_e2e.json" and faults = Artifact.check "BENCH_faults.json" in
+  let resynced = Obs.Json.Fixed (6, 0.5) in
+  e2e (e2e_doc [ e2e_point ~total_ms:10.0; e2e_point ~total_ms:10.0009 ]);
+  faults (faults_doc [ fault_point [ resynced; resynced ] ]);
+  rejects "a missing key" (fun () -> e2e (List.remove_assoc "accounts" (e2e_doc [ e2e_point ~total_ms:10.0 ])));
+  rejects "a missing key" (fun () -> Artifact.check "BENCH_resources.json" [ ("experiment", Obs.Json.String "tab-resources") ]);
+  rejects "an empty e2e sweep" (fun () -> e2e (e2e_doc []));
+  rejects "an empty faults sweep" (fun () -> faults (faults_doc []));
+  rejects "a rate point off by 2 us" (fun () ->
+      e2e (e2e_doc [ e2e_point ~total_ms:10.0; e2e_point ~total_ms:10.002 ]));
+  rejects "a non-converged point" (fun () ->
+      faults (faults_doc [ fault_point ~converged:false [ resynced ] ]));
+  rejects "a point with no recovery" (fun () -> faults (faults_doc [ fault_point [] ]));
+  rejects "an unresynced recovery" (fun () ->
+      faults (faults_doc [ fault_point [ resynced; Obs.Json.Null ] ]));
+  rejects "an artifact with no checks" (fun () -> Artifact.check "BENCH_other.json" [])
+
 let () =
   Alcotest.run "obs"
     [
@@ -423,5 +669,14 @@ let () =
           Alcotest.test_case "e2e report deterministic" `Quick test_e2e_deterministic;
           Alcotest.test_case "trace capacity bound" `Quick test_trace_capacity;
           Alcotest.test_case "dedup wasted bytes" `Quick test_dedup_bytes;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "document layout" `Quick test_json_document;
+          Alcotest.test_case "scalars and escaping" `Quick test_json_scalars;
+          Alcotest.test_case "trace line golden" `Quick test_trace_golden;
+          Alcotest.test_case "crash without restart" `Quick test_crash_without_restart;
+          Alcotest.test_case "attribution check" `Quick test_attribution_check;
+          Alcotest.test_case "artifact checks" `Quick test_artifact_checks;
         ] );
     ]
