@@ -34,7 +34,7 @@ let run () =
     tier1_validators (List.length tier1);
   Common.row "overlay links          : %d directed@." edges;
   let config = Stellar_node.Topology.network_config spec in
-  let result, dt = Common.time (fun () -> Quorum_analysis.Intersection.check config) in
+  let (result, _), dt = Common.time (fun () -> Quorum_analysis.Intersection.check config) in
   Common.row "quorum intersection    : %s (checked in %.2fs)@."
     (match result with
     | Quorum_analysis.Intersection.Intersecting -> "holds"

@@ -30,7 +30,7 @@ let () =
       os
   in
   let config = Topology.network_config spec in
-  (match Quorum_analysis.Intersection.check config with
+  (match fst (Quorum_analysis.Intersection.check config) with
   | Quorum_analysis.Intersection.Intersecting ->
       Format.printf "pre-flight: quorum intersection holds@."
   | _ -> failwith "refusing to launch a splittable network");
@@ -121,7 +121,7 @@ let () =
 
   (* --- the doctor reports the new, thinner margin --- *)
   let new_config = Quorum_analysis.Synthesis.network_config surviving_orgs in
-  (match Quorum_analysis.Intersection.check new_config with
+  (match fst (Quorum_analysis.Intersection.check new_config) with
   | Quorum_analysis.Intersection.Intersecting ->
       Format.printf "post-reconfig: intersection still holds@."
   | _ -> Format.printf "post-reconfig: DANGER -- disjoint quorums possible@.");

@@ -4,11 +4,6 @@ module NM = Federation.Node_map
 
 type phase = Prepare_phase | Confirm_phase | Externalize_phase
 
-let phase_name = function
-  | Prepare_phase -> "prepare"
-  | Confirm_phase -> "confirm"
-  | Externalize_phase -> "externalize"
-
 type t = {
   slot : int;
   local_id : node_id;
@@ -24,7 +19,6 @@ type t = {
   mutable latest_envs : envelope NM.t;
   mutable value_override : value option;
   mutable nomination_composite : value option;
-  mutable heard_from_quorum : bool;
   mutable timer_cancel : (unit -> unit) option;
   mutable timer_counter : int;  (* counter the running timer was armed for *)
   mutable last_emitted : statement option;
@@ -48,7 +42,6 @@ let create ~slot ~local_id ~get_qset ~driver =
     latest_envs = NM.empty;
     value_override = None;
     nomination_composite = None;
-    heard_from_quorum = false;
     timer_cancel = None;
     timer_counter = -1;
     last_emitted = None;
@@ -59,11 +52,7 @@ let create ~slot ~local_id ~get_qset ~driver =
 let phase t = t.phase
 let current_ballot t = t.b
 let prepared t = t.p
-let high_ballot t = t.h
-let commit_ballot t = t.c
-let heard_from_quorum t = t.heard_from_quorum
 let externalized_value t = t.externalized
-let latest_statements t = NM.fold (fun _ st acc -> st :: acc) t.latest []
 let latest_envelopes t = NM.fold (fun _ env acc -> env :: acc) t.latest_envs []
 let on_nomination_composite t v = t.nomination_composite <- Some v
 
@@ -216,7 +205,6 @@ let bump_to_ballot t bal =
   let got_bumped = match t.b with None -> true | Some b -> b.counter <> bal.counter in
   t.b <- Some bal;
   if got_bumped then begin
-    t.heard_from_quorum <- false;
     stop_timer t;
     t.driver.Driver.hooks.Driver.on_ballot_bump ~slot:t.slot ~counter:bal.counter
   end
@@ -544,7 +532,6 @@ and check_heard_from_quorum t =
         | None -> false
       in
       if Federation.is_quorum ~local_qset:(t.get_qset ()) t.latest at_or_above then begin
-        t.heard_from_quorum <- true;
         if t.phase <> Externalize_phase && t.timer_counter <> b.counter then begin
           stop_timer t;
           t.timer_counter <- b.counter;
@@ -556,10 +543,7 @@ and check_heard_from_quorum t =
                    abandon t 0))
         end
       end
-      else begin
-        t.heard_from_quorum <- false;
-        stop_timer t
-      end
+      else stop_timer t
 
 let bump t ~value ~force =
   if t.phase <> Prepare_phase && t.phase <> Confirm_phase then false

@@ -2,35 +2,14 @@ module Node_map = Map.Make (String)
 
 type statements = Types.statement Node_map.t
 
-(* Greatest fixpoint: start from all nodes satisfying [pred] and repeatedly
-   remove nodes whose quorum set has no slice within the current set.  The
-   result is the largest candidate quorum inside the predicate set. *)
-let quorum_fixpoint statements pred =
-  let module S = Set.Make (String) in
-  let initial =
-    Node_map.fold
-      (fun node st acc -> if pred st then S.add node acc else acc)
-      statements S.empty
-  in
-  let rec shrink set =
-    let keep node =
-      let st = Node_map.find node statements in
-      Quorum_set.is_quorum_slice st.Types.quorum_set (fun v -> S.mem v set)
-    in
-    let set' = S.filter keep set in
-    if S.cardinal set' = S.cardinal set then set else shrink set'
-  in
-  shrink initial
-
-let find_quorum ~local_qset statements pred =
-  let module S = Set.Make (String) in
-  let set = quorum_fixpoint statements pred in
-  if Quorum_set.is_quorum_slice local_qset (fun v -> S.mem v set) then
-    Some (S.elements set)
-  else None
-
 let is_quorum ~local_qset statements pred =
-  Option.is_some (find_quorum ~local_qset statements pred)
+  let module S = Quorum_set.Node_set in
+  let members =
+    Node_map.fold (fun node st acc -> if pred st then S.add node acc else acc) statements S.empty
+  in
+  let qset_of node = Some (Node_map.find node statements).Types.quorum_set in
+  let quorum = Quorum_set.greatest_quorum ~qset_of members in
+  Quorum_set.is_quorum_slice local_qset (fun v -> S.mem v quorum)
 
 let is_v_blocking_set ~local_qset statements pred =
   let in_set v =

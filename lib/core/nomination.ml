@@ -21,7 +21,6 @@ type t = {
   mutable nomination_value : Types.value;
   mutable timer_cancel : (unit -> unit) option;
   mutable last_emitted : Types.statement option;
-  mutable latest_composite : Types.value option;
 }
 
 let create ~slot ~local_id ~get_qset ~driver ~on_candidates =
@@ -44,14 +43,10 @@ let create ~slot ~local_id ~get_qset ~driver ~on_candidates =
     nomination_value = "";
     timer_cancel = None;
     last_emitted = None;
-    latest_composite = None;
   }
 
-let started t = t.started
-let round t = t.round
 let leaders t = SS.elements t.leaders
 let candidates t = VS.elements t.candidates
-let latest_composite t = t.latest_composite
 let latest_statements t = NM.fold (fun _ st acc -> st :: acc) t.latest []
 let latest_envelopes t = NM.fold (fun _ env acc -> env :: acc) t.latest_envs []
 
@@ -174,9 +169,7 @@ let advance t =
     emit_if_changed t;
     if !new_candidates then begin
       match t.driver.Driver.combine_candidates ~slot:t.slot (VS.elements t.candidates) with
-      | Some composite ->
-          t.latest_composite <- Some composite;
-          t.on_candidates composite
+      | Some composite -> t.on_candidates composite
       | None -> ()
     end
   end

@@ -57,6 +57,20 @@ let rec is_v_blocking t in_set =
   in
   unblocked < t.threshold
 
+module Node_set = Set.Make (String)
+
+(* Greatest fixpoint: drop every member with no slice inside the current
+   set (plus [free]) until none drops; [Node_set.filter] returns its
+   argument physically unchanged exactly then. *)
+let greatest_quorum ~qset_of ?(free = Node_set.empty) set =
+  let rec shrink set =
+    let in_set v = Node_set.mem v set || Node_set.mem v free in
+    let keep n = match qset_of n with Some q -> is_quorum_slice q in_set | None -> false in
+    let set' = Node_set.filter keep set in
+    if set' == set then set else shrink set'
+  in
+  shrink set
+
 let rec weight t node =
   let n = member_count_shallow t in
   let direct = float_of_int t.threshold /. float_of_int n in

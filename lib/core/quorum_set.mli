@@ -43,6 +43,19 @@ val is_v_blocking : t -> (node_id -> bool) -> bool
 (** Does the predicate set intersect every slice of [q]?  Equivalently, can
     it deny [q]'s owner any quorum? *)
 
+module Node_set : Set.S with type elt = node_id
+
+val greatest_quorum :
+  qset_of:(node_id -> t option) -> ?free:Node_set.t -> Node_set.t -> Node_set.t
+(** The largest quorum inside a set: the union of every subset [Q] in which
+    each member has a slice of its [qset_of] quorum set inside
+    [Q ∪ free] (empty if there is none).  Computed as a greatest fixpoint
+    by repeatedly dropping every member with no such slice.  Members whose
+    [qset_of] is [None] are dropped at once; [free] nodes (default none)
+    complete slices but are never added as members — the byzantine rule of
+    the intersection checker.  The one implementation of this definition,
+    used by SCP federated voting and the quorum checkers. *)
+
 val weight : t -> node_id -> float
 (** Fraction of slices containing the given node (§3.2.5); 0 if absent. *)
 

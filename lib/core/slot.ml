@@ -16,8 +16,6 @@ let create ~index ~local_id ~get_qset ~driver =
   in
   { index; local_id; driver; nomination; ballot }
 
-let index t = t.index
-
 (* Nomination stops once balloting reaches the commit phase (the composite
    can no longer influence this slot). *)
 let sync_nomination t =
@@ -54,18 +52,6 @@ let process_envelope t env =
     sync_nomination t;
     result
   end
-
-let phase t = Ballot.phase t.ballot
-let externalized_value t = Ballot.externalized_value t.ballot
-
-let ballot_counter t =
-  match Ballot.current_ballot t.ballot with Some b -> b.Types.counter | None -> 0
-
-let nomination_round t = Nomination.round t.nomination
-let heard_from_quorum t = Ballot.heard_from_quorum t.ballot
-
-let latest_statements t =
-  Nomination.latest_statements t.nomination @ Ballot.latest_statements t.ballot
 
 let latest_envelopes t =
   (* ballot envelopes first: an EXTERNALIZE is what completes a straggler *)

@@ -23,8 +23,6 @@ type t =
   | Apply_begin of { slot : int; txs : int; ops : int }
   | Apply_end of { slot : int; txs : int; ops : int }
   | Bucket_merge of { level : int; entries : int }
-  | Span_begin of { name : string; slot : int }
-  | Span_end of { name : string; slot : int; dur_s : float }
   | Tx_submit of { tx : string }
   | Tx_flooded of { tx : string }
   | Tx_in_txset of { tx : string; slot : int }
@@ -52,8 +50,6 @@ let name = function
   | Apply_begin _ -> "apply.begin"
   | Apply_end _ -> "apply.end"
   | Bucket_merge _ -> "bucket.merge"
-  | Span_begin _ -> "span.begin"
-  | Span_end _ -> "span.end"
   | Tx_submit _ -> "tx.submit"
   | Tx_flooded _ -> "tx.flooded"
   | Tx_in_txset _ -> "tx.txset"
@@ -92,9 +88,6 @@ let fields =
   | Apply_begin { slot = s; txs; ops } | Apply_end { slot = s; txs; ops } ->
       [ slot s; ("txs", Int txs); ("ops", Int ops) ]
   | Bucket_merge { level; entries } -> [ ("level", Int level); ("entries", Int entries) ]
-  | Span_begin { name; slot = s } -> [ ("name", String name); slot s ]
-  | Span_end { name; slot = s; dur_s } ->
-      [ ("name", String name); slot s; ("dur_s", Fixed (6, dur_s)) ]
   | Tx_submit { tx } | Tx_flooded { tx } -> [ ("tx", String tx) ]
   | Tx_in_txset { tx; slot = s } | Tx_externalized { tx; slot = s } ->
       [ ("tx", String tx); slot s ]

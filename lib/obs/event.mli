@@ -53,8 +53,6 @@ type t =
   | Apply_end of { slot : int; txs : int; ops : int }
   | Bucket_merge of { level : int; entries : int }
       (** a bucket-list level absorbed a batch/spill of [entries] entries *)
-  | Span_begin of { name : string; slot : int }
-  | Span_end of { name : string; slot : int; dur_s : float }
   | Tx_submit of { tx : string }  (** client submitted at this node *)
   | Tx_flooded of { tx : string }
       (** this node first saw the transaction and flooded it onward *)

@@ -607,34 +607,6 @@ let heals ?(interval = 5.0) trace =
       | _ -> ());
   List.rev !out
 
-(* ---- span pairing (handles nesting via a per-key stack) ---- *)
-
-let spans trace =
-  let stacks : (int * string * int, float list ref) Hashtbl.t = Hashtbl.create 16 in
-  let out = ref [] in
-  Trace.iter trace (fun s ->
-      match s.Trace.event with
-      | Event.Span_begin { name; slot } ->
-          let key = (s.Trace.node, name, slot) in
-          let st =
-            match Hashtbl.find_opt stacks key with
-            | Some st -> st
-            | None ->
-                let st = ref [] in
-                Hashtbl.add stacks key st;
-                st
-          in
-          st := s.Trace.time :: !st
-      | Event.Span_end { name; slot; _ } -> (
-          let key = (s.Trace.node, name, slot) in
-          match Hashtbl.find_opt stacks key with
-          | Some ({ contents = t0 :: rest } as st) ->
-              st := rest;
-              out := (s.Trace.node, name, slot, t0, s.Trace.time) :: !out
-          | _ -> ())
-      | _ -> ());
-  List.rev !out
-
 (* ---- JSON values (durations in ms, times in s, 6 decimals) ---- *)
 
 let secs s = Json.Fixed (6, s)

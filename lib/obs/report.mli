@@ -134,10 +134,6 @@ val e2e_latency : ?apply_cost:(txs:int -> ops:int -> float) -> Trace.t -> e2e
 (** End-to-end payment latency quantiles over all submitted transactions —
     the §7.3 "five seconds from submission" figure. *)
 
-val spans : Trace.t -> (int * string * int * float * float) list
-(** Paired [Span_begin]/[Span_end] as (node, name, slot, t0, t1), in
-    completion order; nested same-key spans pair LIFO. *)
-
 (** {2 Fault recovery}
 
     Derived from the fault-injection events ([Node_crash] / [Node_restart] /

@@ -29,29 +29,3 @@ let counter t name =
 
 let gauge t name = if t.enabled then Registry.gauge t.metrics name else Registry.detached_gauge ()
 let observe t name v = if t.enabled then Registry.observe (Registry.histogram t.metrics name) v
-
-type span = { sink : t; sname : string; slot : int; t0 : float }
-
-let span_begin t ~name ~slot =
-  if t.enabled then emit t (Event.Span_begin { name; slot });
-  { sink = t; sname = name; slot; t0 = (if t.enabled then t.now () else 0.0) }
-
-let span_end sp =
-  if sp.sink.enabled then begin
-    let dur_s = sp.sink.now () -. sp.t0 in
-    emit sp.sink (Event.Span_end { name = sp.sname; slot = sp.slot; dur_s });
-    observe sp.sink sp.sname dur_s
-  end
-
-let with_span t ~name ~slot f =
-  if not t.enabled then f ()
-  else begin
-    let sp = span_begin t ~name ~slot in
-    match f () with
-    | v ->
-        span_end sp;
-        v
-    | exception e ->
-        span_end sp;
-        raise e
-  end

@@ -34,14 +34,4 @@ val gauge : t -> string -> Registry.gauge
     and leaves its registry empty. *)
 
 val observe : t -> string -> float -> unit
-(** Histogram sample, looked up by name: it runs once per ledger or span. *)
-
-(** {2 Spans} — phase durations in simulated time.  Spans may nest freely;
-    each emits [Span_begin]/[Span_end] events and feeds a histogram named
-    after the span. *)
-
-type span
-
-val span_begin : t -> name:string -> slot:int -> span
-val span_end : span -> unit
-val with_span : t -> name:string -> slot:int -> (unit -> 'a) -> 'a
+(** Histogram sample, looked up by name: it runs once per ledger. *)

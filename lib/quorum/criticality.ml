@@ -1,6 +1,6 @@
 type org = { name : string; validators : Network_config.node_id list }
 
-let check_org config org = Intersection.check ~byzantine:org.validators config
+let check_org config org = fst (Intersection.check ~byzantine:org.validators config)
 
 let critical_orgs config orgs =
   List.filter

@@ -1,28 +1,9 @@
-module S = Set.Make (String)
+module S = Scp.Quorum_set.Node_set
 
 type result =
   | Intersecting
   | Disjoint of Network_config.node_id list * Network_config.node_id list
   | No_quorum
-
-let explored = ref 0
-let stats () = !explored
-
-(* Quorum predicates "modulo" a byzantine set: byzantine nodes complete
-   anyone's slice for free but never count as quorum members themselves. *)
-let slice_ok config byz set n =
-  match Network_config.qset config n with
-  | Some q -> Scp.Quorum_set.is_quorum_slice q (fun v -> S.mem v set || S.mem v byz)
-  | None -> false
-
-let greatest_quorum config byz set =
-  let rec shrink set =
-    let set' = S.filter (slice_ok config byz set) set in
-    if S.cardinal set' = S.cardinal set then set else shrink set'
-  in
-  shrink set
-
-let is_quorum config byz set = (not (S.is_empty set)) && S.equal (greatest_quorum config byz set) set
 
 (* Two disjoint quorums exist iff some quorum's complement still contains a
    quorum.  The search fixes one node [v0] per outer round and enumerates
@@ -32,27 +13,33 @@ let is_quorum config byz set = (not (S.is_empty set)) && S.equal (greatest_quoru
    completed into a quorum, or when the complement of the committed nodes
    can no longer contain the partner quorum. *)
 let check ?(byzantine = []) config =
-  explored := 0;
   let byz = S.of_list byzantine in
+  (* byzantine nodes complete anyone's slice for free but never count as
+     quorum members themselves *)
+  let greatest_quorum set =
+    Scp.Quorum_set.greatest_quorum ~qset_of:(Network_config.qset config) ~free:byz set
+  in
+  let is_quorum set = (not (S.is_empty set)) && S.equal (greatest_quorum set) set in
+  let explored = ref 0 in
   let all = S.diff (S.of_list (Network_config.nodes config)) byz in
-  if S.is_empty (greatest_quorum config byz all) then No_quorum
+  if S.is_empty (greatest_quorum all) then (No_quorum, 0)
   else begin
     let exception Found of S.t * S.t in
     let rec outer universe =
-      let top = greatest_quorum config byz universe in
+      let top = greatest_quorum universe in
       if S.is_empty top then ()
       else begin
         let v0 = S.min_elt top in
         let rec bb in_set out_set =
           incr explored;
           let avail = S.diff top out_set in
-          let gq = greatest_quorum config byz avail in
+          let gq = greatest_quorum avail in
           if not (S.subset in_set gq) then ()
           else begin
             (* the partner quorum must avoid every committed node *)
-            let partner = greatest_quorum config byz (S.diff top in_set) in
+            let partner = greatest_quorum (S.diff top in_set) in
             if S.is_empty partner then ()
-            else if is_quorum config byz in_set then raise (Found (in_set, partner))
+            else if is_quorum in_set then raise (Found (in_set, partner))
             else begin
               let candidates = S.diff gq in_set in
               if not (S.is_empty candidates) then begin
@@ -85,8 +72,11 @@ let check ?(byzantine = []) config =
         outer (S.remove v0 universe)
       end
     in
-    try
-      outer all;
-      Intersecting
-    with Found (a, b) -> Disjoint (S.elements a, S.elements b)
+    let verdict =
+      try
+        outer all;
+        Intersecting
+      with Found (a, b) -> Disjoint (S.elements a, S.elements b)
+    in
+    (verdict, !explored)
   end

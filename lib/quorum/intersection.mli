@@ -18,8 +18,7 @@ type result =
       (** witness: two quorums with no honest node in common *)
   | No_quorum  (** the configuration contains no quorum at all *)
 
-val check : ?byzantine:Network_config.node_id list -> Network_config.t -> result
-
-val stats : unit -> int
-(** Branch-and-bound nodes explored by the last {!check} (for the §6.2.1
-    performance experiment). *)
+val check : ?byzantine:Network_config.node_id list -> Network_config.t -> result * int
+(** The verdict, paired with the number of branch-and-bound nodes the search
+    explored (0 when there is no quorum; reported by the §6.2.1 performance
+    experiment). *)

@@ -1,7 +1,7 @@
 type node_id = Scp.Quorum_set.node_id
 
 module M = Map.Make (String)
-module S = Set.Make (String)
+module S = Scp.Quorum_set.Node_set
 
 type t = Scp.Quorum_set.t M.t
 
@@ -26,25 +26,3 @@ let transitive_closure t start =
           go visited (next @ rest)
   in
   S.elements (go S.empty [ start ])
-
-let is_quorum t set =
-  set <> []
-  && List.for_all
-       (fun n ->
-         match M.find_opt n t with
-         | Some q -> Scp.Quorum_set.is_quorum_slice q (fun v -> List.mem v set)
-         | None -> false)
-       set
-
-let greatest_quorum t set =
-  let rec shrink set =
-    let in_set = S.of_list set in
-    let keep n =
-      match M.find_opt n t with
-      | Some q -> Scp.Quorum_set.is_quorum_slice q (fun v -> S.mem v in_set)
-      | None -> false
-    in
-    let set' = List.filter keep set in
-    if List.length set' = List.length set then set else shrink set'
-  in
-  shrink set

@@ -253,7 +253,7 @@ let fault_tests =
         let spec = { base with Topology.qset_of } in
         let config = Topology.network_config spec in
         match Quorum_analysis.Intersection.check config with
-        | Quorum_analysis.Intersection.Disjoint _ -> ()
+        | Quorum_analysis.Intersection.Disjoint _, _ -> ()
         | _ -> fail "doctor failed to flag the split-brain configuration");
     test_case "leaf watcher tracks without validating" `Quick (fun () ->
         let spec, _ = Topology.tiered ~leaves:1 () in
@@ -395,7 +395,8 @@ let topo_tests =
         let spec, _ = Topology.tiered () in
         let config = Topology.network_config spec in
         check bool "intersecting" true
-          (Quorum_analysis.Intersection.check config = Quorum_analysis.Intersection.Intersecting));
+          (fst (Quorum_analysis.Intersection.check config)
+          = Quorum_analysis.Intersection.Intersecting));
     test_case "genesis conserves the total supply" `Quick (fun () ->
         let state, accounts = Genesis.make ~n_accounts:100 () in
         check int "accounts + master" 101 (Stellar_ledger.State.account_count state);

@@ -82,42 +82,6 @@ let test_histogram_percentiles () =
   Alcotest.(check (float 0.0)) "histogram p99 of two samples" 0.001
     (Obs.Registry.percentile_of two 0.99)
 
-(* ---- spans ---- *)
-
-let test_span_nesting () =
-  let clock = ref 0.0 in
-  let trace = Obs.Trace.create () in
-  let reg = Obs.Registry.create () in
-  let sink = Obs.Sink.make ~trace ~node:3 ~now:(fun () -> !clock) reg in
-  let outer = Obs.Sink.span_begin sink ~name:"close" ~slot:7 in
-  clock := 1.0;
-  let inner = Obs.Sink.span_begin sink ~name:"close" ~slot:7 in
-  clock := 2.0;
-  Obs.Sink.span_end inner;
-  clock := 5.0;
-  Obs.Sink.span_end outer;
-  (match Obs.Report.spans trace with
-  | [ (n1, "close", 7, t0_in, t1_in); (n2, "close", 7, t0_out, t1_out) ] ->
-      Alcotest.(check int) "node" 3 n1;
-      Alcotest.(check int) "node" 3 n2;
-      (* same-key spans pair LIFO: inner completes first *)
-      Alcotest.(check (float 1e-9)) "inner t0" 1.0 t0_in;
-      Alcotest.(check (float 1e-9)) "inner t1" 2.0 t1_in;
-      Alcotest.(check (float 1e-9)) "outer t0" 0.0 t0_out;
-      Alcotest.(check (float 1e-9)) "outer t1" 5.0 t1_out
-  | l -> Alcotest.failf "expected 2 paired spans, got %d" (List.length l));
-  (* durations feed the histogram named after the span *)
-  match Obs.Registry.summary reg "close" with
-  | Some s -> Alcotest.(check int) "span histogram count" 2 s.Obs.Report.n
-  | None -> Alcotest.fail "span histogram missing"
-
-let test_with_span_exception_safe () =
-  let trace = Obs.Trace.create () in
-  let sink = Obs.Sink.make ~trace ~node:0 ~now:(fun () -> 0.0) (Obs.Registry.create ()) in
-  (try Obs.Sink.with_span sink ~name:"s" ~slot:1 (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check int) "span closed on exception" 1 (List.length (Obs.Report.spans trace))
-
 (* ---- null sink is inert ---- *)
 
 let test_null_sink () =
@@ -127,7 +91,6 @@ let test_null_sink () =
   Obs.Registry.set (Obs.Sink.gauge Obs.Sink.null "g") 1.0;
   Obs.Sink.observe Obs.Sink.null "h" 1.0;
   Obs.Sink.emit Obs.Sink.null (Obs.Event.Externalize { slot = 1 });
-  Obs.Sink.with_span Obs.Sink.null ~name:"s" ~slot:1 (fun () -> ());
   Alcotest.(check int) "no metrics recorded" 0
     (List.length (Obs.Registry.names (Obs.Sink.metrics Obs.Sink.null)))
 
@@ -475,8 +438,6 @@ let test_trace_golden () =
         Apply_begin { slot = 2; txs = 4; ops = 5 };
         Apply_end { slot = 2; txs = 4; ops = 5 };
         Bucket_merge { level = 1; entries = 12 };
-        Span_begin { name = "close"; slot = 2 };
-        Span_end { name = "close"; slot = 2; dur_s = 0.0015 };
         Tx_submit { tx = "ab01" };
         Tx_flooded { tx = "ab01" };
         Tx_in_txset { tx = "ab01"; slot = 2 };
@@ -509,23 +470,21 @@ let test_trace_golden () =
       {|{"seq":11,"t":1.375000,"node":2,"ev":"apply.begin","slot":2,"txs":4,"ops":5}|};
       {|{"seq":12,"t":1.500000,"node":0,"ev":"apply.end","slot":2,"txs":4,"ops":5}|};
       {|{"seq":13,"t":1.625000,"node":1,"ev":"bucket.merge","level":1,"entries":12}|};
-      {|{"seq":14,"t":1.750000,"node":2,"ev":"span.begin","name":"close","slot":2}|};
-      {|{"seq":15,"t":1.875000,"node":0,"ev":"span.end","name":"close","slot":2,"dur_s":0.001500}|};
-      {|{"seq":16,"t":2.000000,"node":1,"ev":"tx.submit","tx":"ab01"}|};
-      {|{"seq":17,"t":2.125000,"node":2,"ev":"tx.flooded","tx":"ab01"}|};
-      {|{"seq":18,"t":2.250000,"node":0,"ev":"tx.txset","tx":"ab01","slot":2}|};
-      {|{"seq":19,"t":2.375000,"node":1,"ev":"tx.externalized","tx":"ab01","slot":2}|};
-      {|{"seq":20,"t":2.500000,"node":2,"ev":"tx.applied","tx":"ab01","slot":2,"ok":true}|};
-      {|{"seq":21,"t":2.625000,"node":0,"ev":"tx.applied","tx":"cd02","slot":2,"ok":false}|};
-      {|{"seq":22,"t":2.750000,"node":1,"ev":"tx.dropped","tx":"cd02","reason":"duplicate"}|};
-      {|{"seq":23,"t":2.875000,"node":2,"ev":"tx.dropped","tx":"ef03","reason":"stale"}|};
-      {|{"seq":24,"t":3.000000,"node":0,"ev":"fault.crash"}|};
-      {|{"seq":25,"t":3.125000,"node":1,"ev":"fault.restart"}|};
-      {|{"seq":26,"t":3.250000,"node":2,"ev":"fault.partition","groups":[0,0,1]}|};
-      {|{"seq":27,"t":3.375000,"node":0,"ev":"fault.partition","groups":[]}|};
-      {|{"seq":28,"t":3.500000,"node":1,"ev":"fault.heal"}|};
-      {|{"seq":29,"t":3.625000,"node":2,"ev":"catchup.begin","from_seq":8}|};
-      {|{"seq":30,"t":3.750000,"node":0,"ev":"catchup.done","to_seq":11,"replayed":3}|};
+      {|{"seq":14,"t":1.750000,"node":2,"ev":"tx.submit","tx":"ab01"}|};
+      {|{"seq":15,"t":1.875000,"node":0,"ev":"tx.flooded","tx":"ab01"}|};
+      {|{"seq":16,"t":2.000000,"node":1,"ev":"tx.txset","tx":"ab01","slot":2}|};
+      {|{"seq":17,"t":2.125000,"node":2,"ev":"tx.externalized","tx":"ab01","slot":2}|};
+      {|{"seq":18,"t":2.250000,"node":0,"ev":"tx.applied","tx":"ab01","slot":2,"ok":true}|};
+      {|{"seq":19,"t":2.375000,"node":1,"ev":"tx.applied","tx":"cd02","slot":2,"ok":false}|};
+      {|{"seq":20,"t":2.500000,"node":2,"ev":"tx.dropped","tx":"cd02","reason":"duplicate"}|};
+      {|{"seq":21,"t":2.625000,"node":0,"ev":"tx.dropped","tx":"ef03","reason":"stale"}|};
+      {|{"seq":22,"t":2.750000,"node":1,"ev":"fault.crash"}|};
+      {|{"seq":23,"t":2.875000,"node":2,"ev":"fault.restart"}|};
+      {|{"seq":24,"t":3.000000,"node":0,"ev":"fault.partition","groups":[0,0,1]}|};
+      {|{"seq":25,"t":3.125000,"node":1,"ev":"fault.partition","groups":[]}|};
+      {|{"seq":26,"t":3.250000,"node":2,"ev":"fault.heal"}|};
+      {|{"seq":27,"t":3.375000,"node":0,"ev":"catchup.begin","from_seq":8}|};
+      {|{"seq":28,"t":3.500000,"node":1,"ev":"catchup.done","to_seq":11,"replayed":3}|};
     ]
   in
   Alcotest.(check string) "JSONL"
@@ -646,8 +605,6 @@ let () =
         ] );
       ( "sink",
         [
-          Alcotest.test_case "span nesting" `Quick test_span_nesting;
-          Alcotest.test_case "with_span exception-safe" `Quick test_with_span_exception_safe;
           Alcotest.test_case "null sink" `Quick test_null_sink;
         ] );
       ( "network",

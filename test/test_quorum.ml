@@ -11,13 +11,13 @@ let intersection_tests =
     test_case "majority clique intersects" `Quick (fun () ->
         let ids = List.init 4 id in
         let config = Network_config.of_assoc (clique ids 3) in
-        check bool "intersecting" true (Intersection.check config = Intersection.Intersecting));
+        check bool "intersecting" true (fst (Intersection.check config) = Intersection.Intersecting));
     test_case "2-of-4 clique splits" `Quick (fun () ->
         (* threshold below majority: two disjoint pairs are each quorums *)
         let ids = List.init 4 id in
         let config = Network_config.of_assoc (clique ids 2) in
         match Intersection.check config with
-        | Intersection.Disjoint (a, b) ->
+        | Intersection.Disjoint (a, b), _ ->
             check bool "witness disjoint" true
               (List.for_all (fun x -> not (List.mem x b)) a);
             check bool "both non-empty" true (a <> [] && b <> [])
@@ -27,7 +27,7 @@ let intersection_tests =
         let g2 = List.init 3 (fun i -> id (i + 10)) in
         let config = Network_config.of_assoc (clique g1 2 @ clique g2 2) in
         (match Intersection.check config with
-        | Intersection.Disjoint _ -> ()
+        | Intersection.Disjoint _, _ -> ()
         | _ -> fail "expected disjoint"));
     test_case "no quorum when thresholds unsatisfiable" `Quick (fun () ->
         (* a requires b in every slice and vice versa, but each also
@@ -40,12 +40,14 @@ let intersection_tests =
               (b, Scp.Quorum_set.make ~threshold:2 [ a; ghost ]);
             ]
         in
-        check bool "no quorum" true (Intersection.check config = Intersection.No_quorum));
+        check bool "no quorum" true (fst (Intersection.check config) = Intersection.No_quorum));
     test_case "greatest quorum / transitive closure" `Quick (fun () ->
         let ids = List.init 3 id in
         let config = Network_config.of_assoc (clique ids 2) in
         check int "gq size" 3
-          (List.length (Network_config.greatest_quorum config (Network_config.nodes config)));
+          (Scp.Quorum_set.Node_set.cardinal
+             (Scp.Quorum_set.greatest_quorum ~qset_of:(Network_config.qset config)
+                (Scp.Quorum_set.Node_set.of_list (Network_config.nodes config))));
         check int "closure" 3 (List.length (Network_config.transitive_closure config (id 0))));
     test_case "byzantine nodes enable splits" `Quick (fun () ->
         (* 3-of-5 clique is intersecting, but with one node byzantine the
@@ -55,9 +57,9 @@ let intersection_tests =
         let ids = List.init 5 id in
         let config = Network_config.of_assoc (clique ids 3) in
         check bool "honest-only intersects" true
-          (Intersection.check config = Intersection.Intersecting);
+          (fst (Intersection.check config) = Intersection.Intersecting);
         match Intersection.check ~byzantine:[ id 0 ] config with
-        | Intersection.Disjoint _ -> ()
+        | Intersection.Disjoint _, _ -> ()
         | _ -> fail "expected split with byzantine helper");
     test_case "paper §6 incident shape: one-sided dependence keeps safety" `Quick
       (fun () ->
@@ -69,7 +71,7 @@ let intersection_tests =
           Network_config.of_assoc ((leaf, Scp.Quorum_set.make ~threshold:3 core) :: core_qs)
         in
         check bool "still intersecting" true
-          (Intersection.check config = Intersection.Intersecting));
+          (fst (Intersection.check config) = Intersection.Intersecting));
   ]
 
 let criticality_tests =
@@ -91,7 +93,7 @@ let criticality_tests =
             @ [ (bridge, qb) ])
         in
         check bool "whole net is fine" true
-          (Intersection.check config = Intersection.Intersecting);
+          (fst (Intersection.check config) = Intersection.Intersecting);
         let orgs =
           [
             { Criticality.name = "bridge"; validators = [ bridge ] };
@@ -146,7 +148,7 @@ let synthesis_tests =
         check bool "is sane" true (Scp.Quorum_set.is_sane q);
         (* and the synthesized config must intersect *)
         let config = Synthesis.network_config orgs in
-        check bool "intersecting" true (Intersection.check config = Intersection.Intersecting));
+        check bool "intersecting" true (fst (Intersection.check config) = Intersection.Intersecting));
     test_case "archives required at high tiers" `Quick (fun () ->
         let o = Synthesis.org ~quality:Synthesis.Critical ~has_archive:false ~name:"x" [ id 1 ] in
         check_raises "rejected"

@@ -174,6 +174,142 @@ let federation_tests =
           (Federation.federated_ratify ~local_qset:q sts3 accepted_x));
   ]
 
+(* ---------- Greatest-quorum kernel against the definitions ---------- *)
+
+(* Random nested quorum sets over at most 7 nodes, checked against the
+   set-form definitions (García-Pérez & Gotsman; Gaul et al.) enumerated
+   over every subset.  Node sets are bitmasks over [universe]. *)
+
+let universe = [| a; b; c; d; e5; f6; g7 |]
+let bit v = 1 lsl Option.get (Array.find_index (String.equal v) universe)
+let mem_mask mask v = mask land bit v <> 0
+let nodes_of mask = List.filter (mem_mask mask) (Array.to_list universe)
+let mask_of set = Quorum_set.Node_set.fold (fun v m -> m lor bit v) set 0
+let set_of mask = Quorum_set.Node_set.of_list (nodes_of mask)
+let subset x y = x land lnot y = 0
+
+(* Every slice of [q] as a bitmask: exactly [threshold] entries, a validator
+   contributing itself and an inner set any one of its slices.
+   [by_count.(k)] holds the unions of [k] entries chosen so far. *)
+let rec slices q =
+  let entries =
+    List.map (fun v -> [ bit v ]) q.Quorum_set.validators
+    @ List.map slices q.Quorum_set.inner
+  in
+  let by_count = Array.make (List.length entries + 1) [] in
+  by_count.(0) <- [ 0 ];
+  List.iter
+    (fun entry ->
+      for k = Array.length by_count - 1 downto 1 do
+        let added = List.concat_map (fun m -> List.map (( lor ) m) entry) by_count.(k - 1) in
+        by_count.(k) <- List.sort_uniq Int.compare (added @ by_count.(k))
+      done)
+    entries;
+  by_count.(q.Quorum_set.threshold)
+
+(* Union of every subset [q] of [set] in which each member has a slice
+   inside [q ∪ free]. *)
+let brute_greatest ~slices_of ~free set =
+  let closed q =
+    List.for_all
+      (fun v -> List.exists (fun s -> subset s (q lor free)) (slices_of v))
+      (nodes_of q)
+  in
+  let acc = ref 0 in
+  for q = 0 to (1 lsl Array.length universe) - 1 do
+    if subset q set && closed q then acc := !acc lor q
+  done;
+  !acc
+
+type kernel_case = {
+  n : int;  (** nodes [universe.(0 .. n-1)] *)
+  qsets : Quorum_set.t option array;  (** [None]: quorum set unknown *)
+  local : Quorum_set.t;
+  set : int;
+  free : int;  (** disjoint from [set] *)
+  pred : int;  (** nodes whose statement satisfies the predicate *)
+}
+
+let gen_qset n =
+  let open QCheck.Gen in
+  let rec go depth =
+    let* mask = int_bound ((1 lsl n) - 1) in
+    let* n_inner = if depth < 2 then int_bound 2 else return 0 in
+    let* inner = list_repeat n_inner (go (depth + 1)) in
+    let validators =
+      match (nodes_of mask, inner) with [], [] -> [ universe.(n - 1) ] | vs, _ -> vs
+    in
+    let+ threshold = int_range 1 (List.length validators + List.length inner) in
+    { Quorum_set.threshold; validators; inner }
+  in
+  go 0
+
+let gen_kernel_case =
+  let open QCheck.Gen in
+  let* n = int_range 1 7 in
+  let* qsets = array_repeat n (opt ~ratio:0.85 (gen_qset n)) in
+  let* local = gen_qset n in
+  let all = (1 lsl n) - 1 in
+  let* set = int_bound all and* free = int_bound all and* pred = int_bound all in
+  return { n; qsets; local; set; free = free land lnot set; pred }
+
+let print_kernel_case k =
+  let names v = String.make 1 v.[0] in
+  let qs = Format.asprintf "%a" (Quorum_set.pp ~names) in
+  Printf.sprintf "n=%d local=%s set=%x free=%x pred=%x qsets=[%s]" k.n (qs k.local) k.set k.free
+    k.pred
+    (String.concat "; " (Array.to_list (Array.map (function Some q -> qs q | None -> "-") k.qsets)))
+
+let kernel_prop_tests =
+  let open QCheck in
+  let arb = make ~print:print_kernel_case gen_kernel_case in
+  let qset_of k v =
+    let i = Option.get (Array.find_index (String.equal v) universe) in
+    if i < k.n then k.qsets.(i) else None
+  in
+  let slices_of k v = match qset_of k v with Some q -> slices q | None -> [] in
+  [
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"greatest_quorum = union of all quorums inside the set" ~count:500 arb
+         (fun k ->
+           let kernel ?free () =
+             mask_of (Quorum_set.greatest_quorum ~qset_of:(qset_of k) ?free (set_of k.set))
+           in
+           kernel () = brute_greatest ~slices_of:(slices_of k) ~free:0 k.set
+           && kernel ~free:(set_of k.free) ()
+              = brute_greatest ~slices_of:(slices_of k) ~free:k.free k.set));
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"slice and v-blocking tests = enumerated slices" ~count:500 arb (fun k ->
+           let all = slices k.local in
+           Quorum_set.is_quorum_slice k.local (mem_mask k.set)
+           = List.exists (fun s -> subset s k.set) all
+           && Quorum_set.is_v_blocking k.local (mem_mask k.set)
+              = List.for_all (fun s -> s land k.set <> 0) all));
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"Federation.is_quorum = some quorum of pred nodes holds a local slice"
+         ~count:500 arb (fun k ->
+           (* nodes in [set] with a known quorum set have a statement *)
+           let statements =
+             List.fold_left
+               (fun acc v ->
+                 match qset_of k v with
+                 | Some q -> Federation.Node_map.add v (mk_statement v q "x") acc
+                 | None -> acc)
+               Federation.Node_map.empty (nodes_of k.set)
+           in
+           let pred st = mem_mask k.pred st.Types.node_id in
+           let local_slices = slices k.local in
+           let exists_quorum =
+             List.exists
+               (fun q ->
+                 subset q (k.set land k.pred)
+                 && List.exists (fun s -> subset s q) local_slices
+                 && brute_greatest ~slices_of:(slices_of k) ~free:0 q = q)
+               (List.init (1 lsl Array.length universe) Fun.id)
+           in
+           Federation.is_quorum ~local_qset:k.local statements pred = exists_quorum));
+  ]
+
 (* ---------- End-to-end consensus over the simulator ---------- *)
 
 let all_majority ids _ = Quorum_set.majority (Array.to_list ids)
@@ -383,5 +519,6 @@ let () =
       ("federation", federation_tests);
       ("leader", leader_tests);
       ("ballot-props", ballot_prop_tests);
+      ("kernel-props", kernel_prop_tests);
       ("end-to-end", e2e_tests);
     ]
