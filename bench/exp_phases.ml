@@ -57,9 +57,8 @@ let run () =
       Common.row "flood (node 0)     : %d recv, %d dup-dropped, amplification %.2fx@."
         f.received f.dup_dropped f.amplification
   | None -> ());
-  (* Aggregate registry: deterministic counters across all nodes.  (The
-     wall-clock "ledger.apply_ms" histogram deliberately stays out of the
-     JSON — its sum is not reproducible.) *)
+  (* Aggregate registry: deterministic counters across all nodes.  The
+     registry holds no host time; that stays in [Scenario.report.apply]. *)
   let agg = Obs.Collector.aggregate telemetry in
   let c name = Obs.Registry.counter_value agg name in
   let n_validators =

@@ -10,7 +10,7 @@ let level_count t = Array.length t.levels
 let level_bucket t i = t.levels.(i).bucket
 
 let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
-  let observed = Stellar_obs.Sink.enabled obs in
+  let traced = Stellar_obs.Sink.enabled obs in
   let merges = Stellar_obs.Sink.counter obs "bucket.merge"
   and spills = Stellar_obs.Sink.counter obs "bucket.spill" in
   let levels = Array.copy t.levels in
@@ -23,7 +23,7 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
       fill = levels.(0).fill + 1;
     };
   Stellar_obs.Registry.incr merges;
-  if observed then
+  if traced then
     Stellar_obs.Sink.emit obs
       (Stellar_obs.Event.Bucket_merge { level = 0; entries = Bucket.size levels.(0).bucket });
   (* Cascade spills: a full level pushes its whole bucket down. *)
@@ -39,7 +39,7 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
         };
       levels.(i) <- { bucket = Bucket.empty; fill = 0 };
       Stellar_obs.Registry.incr spills;
-      if observed then
+      if traced then
         Stellar_obs.Sink.emit obs
           (Stellar_obs.Event.Bucket_merge
              { level = i + 1; entries = Bucket.size levels.(i + 1).bucket });
@@ -48,10 +48,9 @@ let add_batch ?(obs = Stellar_obs.Sink.null) t batch =
   in
   spill 0;
   let t = { t with levels } in
-  if observed then
-    Stellar_obs.Registry.set
-      (Stellar_obs.Sink.gauge obs "bucket.entries")
-      (float_of_int (Array.fold_left (fun acc l -> acc + Bucket.size l.bucket) 0 levels));
+  Stellar_obs.Registry.set
+    (Stellar_obs.Sink.gauge obs "bucket.entries")
+    (float_of_int (Array.fold_left (fun acc l -> acc + Bucket.size l.bucket) 0 levels));
   t
 
 let hash t =

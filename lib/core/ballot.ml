@@ -1,6 +1,7 @@
 open Types
 
 module NM = Federation.Node_map
+module Obs = Stellar_obs
 
 type phase = Prepare_phase | Confirm_phase | Externalize_phase
 
@@ -206,7 +207,11 @@ let bump_to_ballot t bal =
   t.b <- Some bal;
   if got_bumped then begin
     stop_timer t;
-    t.driver.Driver.hooks.Driver.on_ballot_bump ~slot:t.slot ~counter:bal.counter
+    let d = t.driver in
+    Obs.Registry.incr d.Driver.counters.Driver.ballot_bump;
+    if Obs.Sink.enabled d.Driver.obs then
+      Obs.Sink.emit d.Driver.obs (Obs.Event.Ballot_bump { slot = t.slot; counter = bal.counter });
+    d.Driver.on_ballot_bump ~slot:t.slot ~counter:bal.counter
   end
 
 let update_current_if_needed t h =
@@ -400,7 +405,10 @@ let attempt_accept_commit t =
           t.value_override <- Some value;
           if t.phase = Prepare_phase then begin
             t.phase <- Confirm_phase;
-            t.driver.Driver.hooks.Driver.on_phase_change ~slot:t.slot ~phase:"confirm";
+            let d = t.driver in
+            Obs.Registry.incr d.Driver.counters.Driver.phase_confirm;
+            if Obs.Sink.enabled d.Driver.obs then
+              Obs.Sink.emit d.Driver.obs (Obs.Event.Confirm_prepare { slot = t.slot });
             t.p_prime <- None
           end;
           let _ = set_prepared t h in
@@ -429,7 +437,10 @@ let attempt_confirm_commit t =
             t.c <- Some { counter = lo; value };
             t.h <- Some { counter = hi; value };
             t.phase <- Externalize_phase;
-            t.driver.Driver.hooks.Driver.on_phase_change ~slot:t.slot ~phase:"externalize";
+            let d = t.driver in
+            Obs.Registry.incr d.Driver.counters.Driver.phase_externalize;
+            if Obs.Sink.enabled d.Driver.obs then
+              Obs.Sink.emit d.Driver.obs (Obs.Event.Externalize { slot = t.slot });
             stop_timer t;
             sign_and_emit t;
             t.externalized <- Some value;
@@ -539,7 +550,11 @@ and check_heard_from_quorum t =
           t.timer_cancel <-
             Some
               (t.driver.Driver.schedule ~delay (fun () ->
-                   t.driver.Driver.hooks.Driver.on_timeout ~slot:t.slot ~kind:`Ballot;
+                   let d = t.driver in
+                   Obs.Registry.incr d.Driver.counters.Driver.timeout_ballot;
+                   if Obs.Sink.enabled d.Driver.obs then
+                     Obs.Sink.emit d.Driver.obs
+                       (Obs.Event.Timeout_fired { slot = t.slot; kind = `Ballot });
                    abandon t 0))
         end
       end

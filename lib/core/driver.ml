@@ -1,19 +1,15 @@
 type validation = Invalid | Valid
 
-type hooks = {
-  on_nomination_round : slot:int -> round:int -> unit;
-  on_ballot_bump : slot:int -> counter:int -> unit;
-  on_timeout : slot:int -> kind:[ `Nomination | `Ballot ] -> unit;
-  on_phase_change : slot:int -> phase:string -> unit;
+type counters = {
+  nominate_start : Stellar_obs.Registry.counter;
+  nomination_round : Stellar_obs.Registry.counter;
+  ballot_bump : Stellar_obs.Registry.counter;
+  timeout_nomination : Stellar_obs.Registry.counter;
+  timeout_ballot : Stellar_obs.Registry.counter;
+  phase_confirm : Stellar_obs.Registry.counter;
+  phase_externalize : Stellar_obs.Registry.counter;
+  received : Types.pledge -> Stellar_obs.Registry.counter;
 }
-
-let no_hooks =
-  {
-    on_nomination_round = (fun ~slot:_ ~round:_ -> ());
-    on_ballot_bump = (fun ~slot:_ ~counter:_ -> ());
-    on_timeout = (fun ~slot:_ ~kind:_ -> ());
-    on_phase_change = (fun ~slot:_ ~phase:_ -> ());
-  }
 
 type t = {
   emit_envelope : Types.envelope -> unit;
@@ -25,75 +21,40 @@ type t = {
   nomination_timeout : round:int -> float;
   ballot_timeout : counter:int -> float;
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
-  hooks : hooks;
+  on_ballot_bump : slot:int -> counter:int -> unit;
   obs : Stellar_obs.Sink.t;
-  nominate_start : Stellar_obs.Registry.counter;
-  envelope_counter : Types.pledge -> Stellar_obs.Registry.counter;
+  counters : counters;
 }
 
 let default_nomination_timeout ~round = float_of_int (1 + round)
 let default_ballot_timeout ~counter = float_of_int (1 + counter)
 
-(* Protocol internals already report through [hooks]; with an enabled sink we
-   interpose once here so nomination/ballot code needs no obs plumbing. *)
-let observe_hooks obs hooks =
-  let module S = Stellar_obs.Sink in
-  let module E = Stellar_obs.Event in
-  let incr = Stellar_obs.Registry.incr in
-  if not (S.enabled obs) then hooks
-  else
-    let round = S.counter obs "scp.nomination.round"
-    and bump = S.counter obs "scp.ballot.bump"
-    and timeout_nomination = S.counter obs "scp.timeout.nomination"
-    and timeout_ballot = S.counter obs "scp.timeout.ballot"
-    and confirm = S.counter obs "scp.phase.confirm"
-    and externalize = S.counter obs "scp.phase.externalize" in
-    {
-      on_nomination_round =
-        (fun ~slot ~round:r ->
-          incr round;
-          S.emit obs (E.Nomination_round { slot; round = r });
-          hooks.on_nomination_round ~slot ~round:r);
-      on_ballot_bump =
-        (fun ~slot ~counter ->
-          incr bump;
-          S.emit obs (E.Ballot_bump { slot; counter });
-          hooks.on_ballot_bump ~slot ~counter);
-      on_timeout =
-        (fun ~slot ~kind ->
-          incr (match kind with `Nomination -> timeout_nomination | `Ballot -> timeout_ballot);
-          S.emit obs (E.Timeout_fired { slot; kind });
-          hooks.on_timeout ~slot ~kind);
-      on_phase_change =
-        (fun ~slot ~phase ->
-          (match phase with
-          | "confirm" ->
-              incr confirm;
-              S.emit obs (E.Confirm_prepare { slot })
-          | "externalize" ->
-              incr externalize;
-              S.emit obs (E.Externalize { slot })
-          | _ -> ());
-          hooks.on_phase_change ~slot ~phase);
-    }
-
-(* Received statements are counted per pledge type. *)
-let envelope_counter obs =
+let counters obs =
   let c = Stellar_obs.Sink.counter obs in
   let nominate = c "scp.nominate.recv"
   and prepare = c "scp.ballot.prepare"
   and confirm = c "scp.ballot.confirm"
   and externalize = c "scp.ballot.externalize" in
-  function
-  | Types.Nominate _ -> nominate
-  | Types.Prepare _ -> prepare
-  | Types.Confirm _ -> confirm
-  | Types.Externalize _ -> externalize
+  {
+    nominate_start = c "scp.nominate.start";
+    nomination_round = c "scp.nomination.round";
+    ballot_bump = c "scp.ballot.bump";
+    timeout_nomination = c "scp.timeout.nomination";
+    timeout_ballot = c "scp.timeout.ballot";
+    phase_confirm = c "scp.phase.confirm";
+    phase_externalize = c "scp.phase.externalize";
+    received =
+      (function
+      | Types.Nominate _ -> nominate
+      | Types.Prepare _ -> prepare
+      | Types.Confirm _ -> confirm
+      | Types.Externalize _ -> externalize);
+  }
 
 let make ~emit_envelope ~sign ~verify ~validate_value ~combine_candidates
     ~value_externalized ~schedule ?(nomination_timeout = default_nomination_timeout)
-    ?(ballot_timeout = default_ballot_timeout) ?(hooks = no_hooks)
-    ?(obs = Stellar_obs.Sink.null) () =
+    ?(ballot_timeout = default_ballot_timeout)
+    ?(on_ballot_bump = fun ~slot:_ ~counter:_ -> ()) ?(obs = Stellar_obs.Sink.null) () =
   {
     emit_envelope;
     sign;
@@ -104,8 +65,7 @@ let make ~emit_envelope ~sign ~verify ~validate_value ~combine_candidates
     nomination_timeout;
     ballot_timeout;
     schedule;
-    hooks = observe_hooks obs hooks;
+    on_ballot_bump;
     obs;
-    nominate_start = Stellar_obs.Sink.counter obs "scp.nominate.start";
-    envelope_counter = envelope_counter obs;
+    counters = counters obs;
   }

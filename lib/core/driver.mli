@@ -7,14 +7,20 @@
 
 type validation = Invalid | Valid
 
-type hooks = {
-  on_nomination_round : slot:int -> round:int -> unit;
-  on_ballot_bump : slot:int -> counter:int -> unit;
-  on_timeout : slot:int -> kind:[ `Nomination | `Ballot ] -> unit;
-  on_phase_change : slot:int -> phase:string -> unit;
+type counters = {
+  nominate_start : Stellar_obs.Registry.counter;  (** [scp.nominate.start] *)
+  nomination_round : Stellar_obs.Registry.counter;  (** [scp.nomination.round] *)
+  ballot_bump : Stellar_obs.Registry.counter;  (** [scp.ballot.bump] *)
+  timeout_nomination : Stellar_obs.Registry.counter;  (** [scp.timeout.nomination] *)
+  timeout_ballot : Stellar_obs.Registry.counter;  (** [scp.timeout.ballot] *)
+  phase_confirm : Stellar_obs.Registry.counter;  (** [scp.phase.confirm] *)
+  phase_externalize : Stellar_obs.Registry.counter;  (** [scp.phase.externalize] *)
+  received : Types.pledge -> Stellar_obs.Registry.counter;
+      (** Per pledge type of a received statement: [scp.nominate.recv],
+          [scp.ballot.prepare], [scp.ballot.confirm],
+          [scp.ballot.externalize]. *)
 }
-
-val no_hooks : hooks
+(** The [scp.*] handles, resolved once from the driver's sink. *)
 
 type t = {
   emit_envelope : Types.envelope -> unit;
@@ -31,15 +37,15 @@ type t = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
       (** [schedule ~delay f] starts a timer and returns its cancel
           function. *)
-  hooks : hooks;
+  on_ballot_bump : slot:int -> counter:int -> unit;
+      (** Called whenever the local ballot counter changes, after the bump
+          is counted and traced. *)
   obs : Stellar_obs.Sink.t;
-      (** Observability sink; {!Stellar_obs.Sink.null} disables all
-          instrumentation. *)
-  nominate_start : Stellar_obs.Registry.counter;  (** [scp.nominate.start] *)
-  envelope_counter : Types.pledge -> Stellar_obs.Registry.counter;
-      (** Per pledge type of a received statement: [scp.nominate.recv],
-          [scp.ballot.prepare], [scp.ballot.confirm],
-          [scp.ballot.externalize].  Both are resolved once from [obs]. *)
+      (** The node's sink: nomination and balloting count every step in
+          {!counters}; with a trace they also emit the matching events
+          (nomination start and rounds, ballot bumps, confirm/externalize
+          phase changes, timeouts). *)
+  counters : counters;
 }
 
 val make :
@@ -52,14 +58,11 @@ val make :
   schedule:(delay:float -> (unit -> unit) -> unit -> unit) ->
   ?nomination_timeout:(round:int -> float) ->
   ?ballot_timeout:(counter:int -> float) ->
-  ?hooks:hooks ->
+  ?on_ballot_bump:(slot:int -> counter:int -> unit) ->
   ?obs:Stellar_obs.Sink.t ->
   unit ->
   t
-(** With an enabled [obs] sink, the driver interposes on [hooks] to emit
-    trace events (nomination rounds, ballot bumps, confirm/externalize phase
-    changes, timeouts) and bump the matching [scp.*] counters before calling
-    the caller's hook. *)
+(** [obs] defaults to {!Stellar_obs.Sink.null}: nothing counted or traced. *)
 
 val default_nomination_timeout : round:int -> float
 (** stellar-core's schedule: [1 + round] seconds. *)

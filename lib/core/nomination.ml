@@ -1,6 +1,7 @@
 module VS = Set.Make (String)
 module SS = Set.Make (String)
 module NM = Federation.Node_map
+module Obs = Stellar_obs
 
 type t = {
   slot : int;
@@ -180,8 +181,16 @@ let rec trigger_round t ~timedout =
   if (not t.stopped) && ((not timedout) || t.started) then begin
     t.started <- true;
     t.round <- t.round + 1;
-    t.driver.Driver.hooks.Driver.on_nomination_round ~slot:t.slot ~round:t.round;
-    if timedout then t.driver.Driver.hooks.Driver.on_timeout ~slot:t.slot ~kind:`Nomination;
+    let d = t.driver in
+    let c = d.Driver.counters and traced = Obs.Sink.enabled d.Driver.obs in
+    Obs.Registry.incr c.Driver.nomination_round;
+    if traced then
+      Obs.Sink.emit d.Driver.obs (Obs.Event.Nomination_round { slot = t.slot; round = t.round });
+    if timedout then begin
+      Obs.Registry.incr c.Driver.timeout_nomination;
+      if traced then
+        Obs.Sink.emit d.Driver.obs (Obs.Event.Timeout_fired { slot = t.slot; kind = `Nomination })
+    end;
     let leader =
       Leader.round_leader ~qset:(t.get_qset ()) ~self:t.local_id ~slot:t.slot
         ~prev:t.previous_value ~round:t.round

@@ -24,10 +24,9 @@ let sync_nomination t =
 let nominate t ~value ~prev =
   if Ballot.phase t.ballot = Ballot.Prepare_phase then begin
     let obs = t.driver.Driver.obs in
-    if Stellar_obs.Sink.enabled obs then begin
-      Stellar_obs.Registry.incr t.driver.Driver.nominate_start;
-      Stellar_obs.Sink.emit obs (Stellar_obs.Event.Nominate_start { slot = t.index })
-    end;
+    Stellar_obs.Registry.incr t.driver.Driver.counters.Driver.nominate_start;
+    if Stellar_obs.Sink.enabled obs then
+      Stellar_obs.Sink.emit obs (Stellar_obs.Event.Nominate_start { slot = t.index });
     Nomination.nominate t.nomination ~value ~prev;
     sync_nomination t
   end
@@ -43,7 +42,7 @@ let process_envelope t env =
          ~signature:env.Types.signature)
   then `Invalid
   else begin
-    Stellar_obs.Registry.incr (t.driver.Driver.envelope_counter st.Types.pledge);
+    Stellar_obs.Registry.incr (t.driver.Driver.counters.Driver.received st.Types.pledge);
     let result =
       match st.Types.pledge with
       | Types.Nominate _ -> Nomination.process_envelope t.nomination env

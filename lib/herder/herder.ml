@@ -19,7 +19,6 @@ type callbacks = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
   now : unit -> float;
   on_ledger_closed : ledger_stats -> unit;
-  on_timeout : kind:[ `Nomination | `Ballot ] -> unit;
 }
 
 type config = {
@@ -92,10 +91,6 @@ let timing t slot =
 let prev_header_hash t =
   match t.headers with h :: _ -> Header.hash h | [] -> Header.genesis_hash
 
-(* Transaction-lifecycle trace events are keyed by the lowercase-hex tx
-   hash, the same key Horizon-style APIs expose. *)
-let tx_hex signed = Stellar_crypto.Hex.encode (Tx.hash signed.Tx.tx)
-
 (* ---- value validation & combination (§5.3) ---- *)
 
 let validate_value t ~slot raw =
@@ -144,15 +139,16 @@ let rec close_ledger t slot (v : Value.t) =
       let cpu0 = Sys.time () in
       let txs = Tx_set.txs ts in
       (* Apply_begin/Apply_end carry tx/op counts at the (single) simulated
-         instant of application; CPU time goes to the ledger.apply_ms
-         histogram, keeping the trace deterministic. *)
+         instant of application; the host CPU time goes only to
+         [ledger_stats.apply_s], keeping the trace and the registry
+         deterministic. *)
       if Stellar_obs.Sink.enabled t.obs then begin
         (* the network decided this slot: every tx in the winning set is
            externalized at this node's close instant *)
         List.iter
           (fun signed ->
             Stellar_obs.Sink.emit t.obs
-              (Stellar_obs.Event.Tx_externalized { tx = tx_hex signed; slot }))
+              (Stellar_obs.Event.Tx_externalized { tx = Tx.hex_id signed; slot }))
           txs;
         Stellar_obs.Sink.emit t.obs
           (Stellar_obs.Event.Apply_begin
@@ -180,12 +176,10 @@ let rec close_ledger t slot (v : Value.t) =
           ~state:state'
       in
       let apply_s = Sys.time () -. cpu0 in
-      if Stellar_obs.Sink.enabled t.obs then begin
+      if Stellar_obs.Sink.enabled t.obs then
         Stellar_obs.Sink.emit t.obs
           (Stellar_obs.Event.Apply_end
              { slot; txs = Tx_set.tx_count ts; ops = Tx_set.op_count ts });
-        Stellar_obs.Sink.observe t.obs "ledger.apply_ms" (apply_s *. 1000.0)
-      end;
       Stellar_obs.Registry.incr t.c_closed;
       t.state <- state';
       t.buckets <- buckets';
@@ -196,7 +190,7 @@ let rec close_ledger t slot (v : Value.t) =
         List.iter
           (fun signed ->
             Stellar_obs.Sink.emit t.obs
-              (Stellar_obs.Event.Tx_dropped { tx = tx_hex signed; reason = `Stale }))
+              (Stellar_obs.Event.Tx_dropped { tx = Tx.hex_id signed; reason = `Stale }))
           purged;
       Stellar_obs.Registry.set t.g_queue (float_of_int (Tx_queue.size t.queue));
       Scp.Protocol.purge_slots t.scp ~below:(slot - 32);
@@ -248,7 +242,7 @@ and trigger_next_ledger t =
       List.iter
         (fun signed ->
           Stellar_obs.Sink.emit t.obs
-            (Stellar_obs.Event.Tx_in_txset { tx = tx_hex signed; slot }))
+            (Stellar_obs.Event.Tx_in_txset { tx = Tx.hex_id signed; slot }))
         txs;
     Hashtbl.replace t.tx_sets (Tx_set.hash ts) ts;
     t.cb.broadcast_tx_set ts;
@@ -286,26 +280,16 @@ let create config cb ~genesis ?buckets ?(headers = []) ?(obs = Stellar_obs.Sink.
                    h.pending_apply <- (slot, v) :: h.pending_apply
              | None -> ())
            ~schedule:(fun ~delay f -> cb.schedule ~delay f)
-           ~obs
-           ~hooks:
-             {
-               Scp.Driver.on_nomination_round = (fun ~slot:_ ~round:_ -> ());
-               on_ballot_bump =
-                 (fun ~slot ~counter ->
-                   let h = Lazy.force t in
-                   let tm = timing h slot in
-                   if tm.t_first_ballot = None then begin
-                     tm.t_first_ballot <- Some (cb.now ());
-                     (* the nomination → balloting boundary of the phase
-                        breakdown (Report.slot_phases) *)
-                     if Stellar_obs.Sink.enabled obs then
-                       Stellar_obs.Sink.emit obs
-                         (Stellar_obs.Event.First_vote { slot; counter })
-                   end);
-               on_timeout = (fun ~slot:_ ~kind -> cb.on_timeout ~kind);
-               on_phase_change = (fun ~slot:_ ~phase:_ -> ());
-             }
-           ()
+           ~on_ballot_bump:(fun ~slot ~counter ->
+             let tm = timing (Lazy.force t) slot in
+             if tm.t_first_ballot = None then begin
+               tm.t_first_ballot <- Some (cb.now ());
+               (* the nomination → balloting boundary of the phase
+                  breakdown (Report.slot_phases) *)
+               if Stellar_obs.Sink.enabled obs then
+                 Stellar_obs.Sink.emit obs (Stellar_obs.Event.First_vote { slot; counter })
+             end)
+           ~obs ()
        in
        {
          config;
@@ -352,7 +336,7 @@ let receive_tx t signed =
   else begin
     if Stellar_obs.Sink.enabled t.obs then
       Stellar_obs.Sink.emit t.obs
-        (Stellar_obs.Event.Tx_dropped { tx = tx_hex signed; reason = `Duplicate });
+        (Stellar_obs.Event.Tx_dropped { tx = Tx.hex_id signed; reason = `Duplicate });
     `Duplicate
   end
 
@@ -360,7 +344,7 @@ let submit_tx t signed =
   match receive_tx t signed with
   | `New ->
       if Stellar_obs.Sink.enabled t.obs then
-        Stellar_obs.Sink.emit t.obs (Stellar_obs.Event.Tx_submit { tx = tx_hex signed });
+        Stellar_obs.Sink.emit t.obs (Stellar_obs.Event.Tx_submit { tx = Tx.hex_id signed });
       t.cb.broadcast_tx signed;
       `Queued
   | `Duplicate -> `Duplicate

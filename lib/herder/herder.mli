@@ -27,7 +27,6 @@ type callbacks = {
   schedule : delay:float -> (unit -> unit) -> unit -> unit;
   now : unit -> float;
   on_ledger_closed : ledger_stats -> unit;
-  on_timeout : kind:[ `Nomination | `Ballot ] -> unit;
 }
 
 type config = {
@@ -57,12 +56,14 @@ val create :
     list for the same genesis instead of re-hashing it per node.
     [headers] (most recent first) seeds the header chain when bootstrapping
     from an archive checkpoint rather than from ledger 1 (§5.4).
-    [obs] (default disabled) instruments the whole close path: it is handed
-    to the SCP driver, ledger apply and bucket merges, and the herder itself
-    emits [First_vote]/[Apply_begin]/[Apply_end] events, the per-transaction
+    [obs] is the node's sink (default {!Stellar_obs.Sink.null}: nothing
+    counted or traced).  It is handed to the SCP driver, ledger apply and
+    bucket merges, which count [scp.*], [ledger.*] and [bucket.*]; the
+    herder itself counts [ledger.closed] and keeps the [herder.queue.size]
+    gauge.  With a trace the herder also emits
+    [First_vote]/[Apply_begin]/[Apply_end] and the per-transaction
     lifecycle events ([Tx_submit], [Tx_in_txset], [Tx_externalized],
-    [Tx_dropped]; [Tx_applied] comes from ledger apply), plus the
-    [ledger.apply_ms] CPU histogram and [herder.queue.size] gauge. *)
+    [Tx_dropped]; [Tx_applied] comes from ledger apply). *)
 
 val node_id : t -> Scp.Types.node_id
 val state : t -> Stellar_ledger.State.t

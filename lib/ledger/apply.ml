@@ -730,32 +730,22 @@ let apply_tx_set ?(obs = Stellar_obs.Sink.null) ctx state ~close_time txs =
     List.rev !out
   in
   let slot = State.ledger_seq state in
-  (* counter handles resolved once per ledger, only when observed *)
-  let counters =
-    if Stellar_obs.Sink.enabled obs then
-      Some
-        ( Array.map (Stellar_obs.Sink.counter obs) outcome_metrics,
-          Stellar_obs.Sink.counter obs "ledger.ops.applied" )
-    else None
-  in
+  (* counter handles resolved once per ledger *)
+  let outcomes = Array.map (Stellar_obs.Sink.counter obs) outcome_metrics
+  and ops_applied = Stellar_obs.Sink.counter obs "ledger.ops.applied"
+  and traced = Stellar_obs.Sink.enabled obs in
   let state, results =
     List.fold_left
       (fun (state, acc) signed ->
         let state, outcome = apply_tx ctx state signed in
-        (match counters with
-        | None -> ()
-        | Some (outcomes, ops_applied) -> (
-            Stellar_obs.Registry.incr outcomes.(outcome_index outcome);
-            Stellar_obs.Sink.emit obs
-              (Stellar_obs.Event.Tx_applied
-                 {
-                   tx = Stellar_crypto.Hex.encode (Tx.hash signed.Tx.tx);
-                   slot;
-                   ok = tx_succeeded outcome;
-                 });
-            match outcome with
-            | Tx_success rs -> Stellar_obs.Registry.add ops_applied (List.length rs)
-            | _ -> ()));
+        Stellar_obs.Registry.incr outcomes.(outcome_index outcome);
+        (match outcome with
+        | Tx_success rs -> Stellar_obs.Registry.add ops_applied (List.length rs)
+        | _ -> ());
+        if traced then
+          Stellar_obs.Sink.emit obs
+            (Stellar_obs.Event.Tx_applied
+               { tx = Tx.hex_id signed; slot; ok = tx_succeeded outcome });
         (state, (signed, outcome) :: acc))
       (state, []) sorted
   in

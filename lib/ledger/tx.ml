@@ -266,6 +266,7 @@ let decode_signed s = Xdr.decode signed_xdr s
 let network_id = Stellar_crypto.Sha256.digest "stellar-repro network ; 2026"
 
 let hash tx = Stellar_crypto.Sha256.digest_list [ network_id; encode tx ]
+let hex_id signed = Stellar_crypto.Hex.encode (hash signed.tx)
 
 let sign tx ~secret ~public ~scheme =
   let module S = (val scheme : Stellar_crypto.Sig_intf.SCHEME with type secret = string) in

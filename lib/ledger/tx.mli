@@ -95,6 +95,10 @@ val hash : t -> string
 (** SHA-256 over the network-prefixed canonical XDR encoding; this is what
     gets signed. *)
 
+val hex_id : signed -> string
+(** Lowercase hex of the transaction's {!hash}: the key transaction-lifecycle
+    trace events carry, the same one Horizon-style APIs expose. *)
+
 val sign : t -> secret:string -> public:account_id -> scheme:(module Stellar_crypto.Sig_intf.SCHEME with type secret = string) -> signed
 val co_sign : signed -> secret:string -> public:account_id -> scheme:(module Stellar_crypto.Sig_intf.SCHEME with type secret = string) -> signed
 

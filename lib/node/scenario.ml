@@ -69,36 +69,19 @@ let run p =
   let wall0 = Unix.gettimeofday () in
   let engine = Stellar_sim.Engine.create () in
   let rng = Stellar_sim.Rng.create ~seed:p.seed in
-  let telemetry =
-    if p.observe then begin
-      let c =
-        Stellar_obs.Collector.create ?trace_capacity:p.trace_capacity
-          ~n:p.spec.Topology.n_nodes
-          ~now:(fun () -> Stellar_sim.Engine.now engine)
-          ()
-      in
-      Stellar_sim.Engine.set_obs engine (Stellar_obs.Collector.sim_sink c);
-      Some c
-    end
-    else None
-  in
-  let obs_sink i =
-    match telemetry with
-    | Some c -> Stellar_obs.Collector.sink c i
-    | None -> Stellar_obs.Sink.null
+  let trace =
+    if p.observe then Some (Stellar_obs.Trace.create ?capacity:p.trace_capacity ()) else None
   in
   let network =
     Stellar_sim.Network.create ~engine ~rng ~n:p.spec.Topology.n_nodes ~latency:p.latency
-      ~processing:p.processing
-      ?obs:(Option.map (fun c -> Stellar_obs.Collector.sink c) telemetry)
-      ()
+      ~processing:p.processing ()
   in
+  let node0 = Stellar_obs.Registry.counter_value (Stellar_sim.Network.registry network 0) in
   let genesis, accounts = Genesis.make ~n_accounts:p.n_accounts () in
   let shared_buckets = Stellar_bucket.Bucket_list.of_state genesis in
-  (* per-ledger stats from node 0; timeout counters per node *)
+  (* per-ledger stats from node 0, and its timeout counts at each close *)
   let ledger_log = ref [] in
-  let nom_timeouts = ref 0 and ballot_timeouts = ref 0 in
-  let timeouts_per_ledger = ref [] in
+  let timeouts_at_close = ref [] in
   (* Fault runs keep a history archive fed from node 0's closes, so a
      restarted validator has a §5.4 checkpoint to bootstrap from.  A short
      checkpoint frequency keeps the replay tail small at simulation scale. *)
@@ -143,31 +126,24 @@ let run p =
           if i = 0 then fun stats ->
             begin
               ledger_log := stats :: !ledger_log;
-              timeouts_per_ledger := (!nom_timeouts, !ballot_timeouts) :: !timeouts_per_ledger;
-              nom_timeouts := 0;
-              ballot_timeouts := 0;
+              timeouts_at_close :=
+                (node0 "scp.timeout.nomination", node0 "scp.timeout.ballot")
+                :: !timeouts_at_close;
               record_in_archive stats
             end
           else fun _ -> ()
         in
-        let on_timeout =
-          if i = 0 then fun ~kind ->
-            match kind with
-            | `Nomination -> incr nom_timeouts
-            | `Ballot -> incr ballot_timeouts
-          else fun ~kind:_ -> ()
-        in
         Validator.create ~network ~index:i ~peers:(p.spec.Topology.peers_of i) ~config
-          ~genesis ~buckets:shared_buckets ~on_ledger_closed ~on_timeout ~obs:(obs_sink i)
-          ())
+          ~genesis ~buckets:shared_buckets ~on_ledger_closed ?trace ())
   in
   v0 := Some validators.(0);
   Array.iter Validator.start validators;
   (* ---- fault schedule interpretation ---- *)
+  (* run-level events (partition begin/heal) belong to no node: id -1 *)
   let sim_sink =
-    match telemetry with
-    | Some c -> Stellar_obs.Collector.sim_sink c
-    | None -> Stellar_obs.Sink.null
+    Stellar_obs.Sink.make ?trace ~node:(-1)
+      ~now:(fun () -> Stellar_sim.Engine.now engine)
+      (Stellar_sim.Engine.registry engine)
   in
   List.iter
     (fun ev ->
@@ -238,7 +214,15 @@ let run p =
   Array.iter Validator.stop validators;
   (* ---- collect ---- *)
   let stats = List.rev !ledger_log in
-  let t_per_ledger = List.rev !timeouts_per_ledger in
+  (* node 0's timeouts per ledger: the increase of its counters between
+     consecutive closes *)
+  let t_per_ledger =
+    let rec increases (pn, pb) = function
+      | (n, b) :: rest -> (n - pn, b - pb) :: increases (n, b) rest
+      | [] -> []
+    in
+    increases (0, 0) (List.rev !timeouts_at_close)
+  in
   let drop_warmup l = if List.length l > p.warmup_ledgers then
       List.filteri (fun i _ -> i >= p.warmup_ledgers) l
     else l
@@ -260,7 +244,6 @@ let run p =
     List.fold_left (fun acc s -> acc + s.Stellar_herder.Herder.tx_count) 0 stats
   in
   let virtual_elapsed = Stellar_sim.Engine.now engine in
-  let node0 = Stellar_obs.Registry.counter_value (Stellar_sim.Network.registry network 0) in
   let per_second count =
     if virtual_elapsed > 0.0 then float_of_int count /. virtual_elapsed else 0.0
   in
@@ -333,7 +316,12 @@ let run p =
     converged;
     wall_seconds = Unix.gettimeofday () -. wall0;
     final_ledger_seq = Stellar_herder.Herder.ledger_seq (Validator.herder validators.(0));
-    telemetry;
+    telemetry =
+      Option.map
+        (fun trace ->
+          Stellar_obs.Collector.create ~trace ~sim:(Stellar_sim.Engine.registry engine)
+            (Array.init p.spec.Topology.n_nodes (Stellar_sim.Network.registry network)))
+        trace;
   }
 
 let pp_ms fmt (s : Stellar_obs.Report.quantiles) =

@@ -21,9 +21,10 @@ type params = {
   max_ops_per_ledger : int;
   warmup_ledgers : int;  (** ledgers excluded from the stats *)
   observe : bool;
-      (** collect a structured trace and per-node metric registries
-          ({!report.telemetry}); default off — instrumentation then costs
-          one branch per site *)
+      (** record a structured trace and hand it out with the run's
+          registries ({!report.telemetry}); default off.  Every node's
+          registry counts either way: observing adds only the trace, and
+          an unobserved run builds no events *)
   trace_capacity : int option;
       (** bound the shared trace to this many events; once full, further
           events are dropped and counted under [obs.trace.dropped].
@@ -49,7 +50,10 @@ type report = {
   txs_submitted : int;
   txs_applied : int;
   nomination_timeouts_per_ledger : Stellar_obs.Report.quantiles;
+      (** Fig. 8: the increase of node 0's [scp.timeout.nomination] counter
+          between its consecutive closes *)
   ballot_timeouts_per_ledger : Stellar_obs.Report.quantiles;
+      (** the same for [scp.timeout.ballot] *)
   envelopes_per_ledger : float;  (** logical SCP envelopes emitted per ledger *)
   msgs_per_second_per_node : float;
   bytes_in_total : int;  (** XDR bytes received by node 0 over the run *)
@@ -66,7 +70,7 @@ type report = {
   wall_seconds : float;  (** real time the simulation took *)
   final_ledger_seq : int;
   telemetry : Stellar_obs.Collector.t option;
-      (** the run's trace + registries when [observe] was set *)
+      (** the run's trace and registries when [observe] was set *)
 }
 
 val run : params -> report

@@ -8,8 +8,7 @@ type t = {
   genesis : Stellar_ledger.State.t;
   genesis_buckets : Stellar_bucket.Bucket_list.t option;
   user_on_ledger_closed : Stellar_herder.Herder.ledger_stats -> unit;
-  user_on_timeout : kind:[ `Nomination | `Ballot ] -> unit;
-  obs : Obs.Sink.t;
+  obs : Obs.Sink.t;  (* over [Network.registry network index] *)
   mutable herder : Stellar_herder.Herder.t;
   mutable generation : int;
       (* bumped on every crash and restart: callbacks and timers close over
@@ -25,9 +24,7 @@ type t = {
   c : counters;
 }
 
-(* Resolved once in [create]: the [flood.*]/[fault.*] counters live in the
-   network's per-node registry, which counts whether or not the run is
-   observed; the gauges come from the sink. *)
+(* Resolved once in [create] from the node's sink. *)
 and counters = {
   forwarded : Obs.Registry.counter;
   unique : Obs.Registry.counter;
@@ -205,12 +202,7 @@ let handle t ~src ~(info : Stellar_sim.Network.delivery) (w : Message.wire) =
            broadcast_tx) *)
         match msg with
         | Message.Tx_msg signed ->
-            Obs.Sink.emit t.obs
-              (Obs.Event.Tx_flooded
-                 {
-                   tx =
-                     Stellar_crypto.Hex.encode (Stellar_ledger.Tx.hash signed.Stellar_ledger.Tx.tx);
-                 })
+            Obs.Sink.emit t.obs (Obs.Event.Tx_flooded { tx = Stellar_ledger.Tx.hex_id signed })
         | _ -> ()
       end;
       (* held before processing: an envelope that closes the slot is itself
@@ -260,13 +252,7 @@ let callbacks_for ~engine ~gen get_t =
           let v = get_t () in
           if v.generation = gen then begin
             if Obs.Sink.enabled v.obs then
-              Obs.Sink.emit v.obs
-                (Obs.Event.Tx_flooded
-                   {
-                     tx =
-                       Stellar_crypto.Hex.encode
-                         (Stellar_ledger.Tx.hash signed.Stellar_ledger.Tx.tx);
-                   });
+              Obs.Sink.emit v.obs (Obs.Event.Tx_flooded { tx = Stellar_ledger.Tx.hex_id signed });
             flood v (Message.Tx_msg signed)
           end);
       schedule =
@@ -285,18 +271,17 @@ let callbacks_for ~engine ~gen get_t =
             prune_seen v ~upto:stats.Stellar_herder.Herder.seq;
             v.user_on_ledger_closed stats
           end);
-      on_timeout =
-        (fun ~kind ->
-          let v = get_t () in
-          if v.generation = gen then v.user_on_timeout ~kind);
     }
 
 let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
-    ?(on_ledger_closed = fun _ -> ()) ?(on_timeout = fun ~kind:_ -> ())
-    ?(obs = Obs.Sink.null) () =
+    ?(on_ledger_closed = fun _ -> ()) ?trace () =
   let engine = Stellar_sim.Network.engine network in
-  let reg = Stellar_sim.Network.registry network index in
-  let counter = Obs.Registry.counter reg in
+  let obs =
+    Obs.Sink.make ?trace ~node:index
+      ~now:(fun () -> Stellar_sim.Engine.now engine)
+      (Stellar_sim.Network.registry network index)
+  in
+  let counter = Obs.Sink.counter obs in
   let c =
     {
       forwarded = counter "flood.forwarded";
@@ -324,7 +309,6 @@ let create ~network ~index ~peers ~config ~genesis ?buckets ?headers
          genesis;
          genesis_buckets = buckets;
          user_on_ledger_closed = on_ledger_closed;
-         user_on_timeout = on_timeout;
          obs;
          herder = Stellar_herder.Herder.create config cb ~genesis ?buckets ?headers ~obs ();
          generation = 0;

@@ -13,8 +13,7 @@ val create :
   ?buckets:Stellar_bucket.Bucket_list.t ->
   ?headers:Stellar_ledger.Header.t list ->
   ?on_ledger_closed:(Stellar_herder.Herder.ledger_stats -> unit) ->
-  ?on_timeout:(kind:[ `Nomination | `Ballot ] -> unit) ->
-  ?obs:Stellar_obs.Sink.t ->
+  ?trace:Stellar_obs.Trace.t ->
   unit ->
   t
 (** [network] carries {!Message.wire} records: a message's dedup key and
@@ -24,15 +23,17 @@ val create :
     {!wires_size}), so a validator encodes only the messages it
     originates.
 
-    The [flood.*] and [fault.*] counters ([flood.own_envelopes] counts the
-    SCP envelopes this validator itself emitted: the paper's 6-7 logical
-    messages per ledger, §7.2; [flood.own_tx_sets] the tx sets it built)
-    live in [Network.registry network index] and count whether or not the
-    run is observed.
+    The validator's sink is built over [Network.registry network index]
+    and handed down to the herder/SCP/ledger/bucket stack, so every
+    subsystem of this node counts there whether or not the run is observed.
+    The validator's own counters are [flood.*] and [fault.*]
+    ([flood.own_envelopes] counts the SCP envelopes this validator itself
+    emitted: the paper's 6-7 logical messages per ledger, §7.2;
+    [flood.own_tx_sets] the tx sets it built).
 
-    [obs] (default disabled) traces the flood path — [Flood_send],
-    [Flood_recv] and [Dedup_drop] events — and is passed down to the
-    herder/SCP/ledger stack. *)
+    [trace] is what observing adds: the node's events are recorded there,
+    the flood path's [Flood_send], [Flood_recv] and [Dedup_drop] among
+    them. *)
 
 val index : t -> int
 val herder : t -> Stellar_herder.Herder.t

@@ -1,32 +1,13 @@
 type counter = { mutable count : int }
 type gauge = { mutable value : float }
 
-type histogram = {
-  bounds : float array;  (* sorted upper bounds; one overflow bucket after *)
-  counts : int array;  (* length = Array.length bounds + 1 *)
-  mutable n : int;
-  mutable sum : float;
-  mutable hmax : float;
-}
-
-type metric = Counter of counter | Gauge of gauge | Histogram of histogram
+type metric = Counter of counter | Gauge of gauge
 
 type t = (string, metric) Hashtbl.t
 
 let create () : t = Hashtbl.create 64
 
-(* Default buckets for durations in seconds: 100 us .. 60 s, roughly
-   1-2.5-5 per decade, matching the latency ranges of §7. *)
-let default_bounds =
-  [|
-    0.0001; 0.00025; 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25;
-    0.5; 1.0; 2.5; 5.0; 10.0; 25.0; 60.0;
-  |]
-
-let kind_name = function
-  | Counter _ -> "counter"
-  | Gauge _ -> "gauge"
-  | Histogram _ -> "histogram"
+let kind_name = function Counter _ -> "counter" | Gauge _ -> "gauge"
 
 let mismatch name want got =
   invalid_arg
@@ -51,23 +32,6 @@ let gauge t name =
       Hashtbl.add t name (Gauge g);
       g
 
-let histogram ?(bounds = default_bounds) t name =
-  match Hashtbl.find_opt t name with
-  | Some (Histogram h) -> h
-  | Some m -> mismatch name "histogram" m
-  | None ->
-      let h =
-        {
-          bounds;
-          counts = Array.make (Array.length bounds + 1) 0;
-          n = 0;
-          sum = 0.0;
-          hmax = 0.0;
-        }
-      in
-      Hashtbl.add t name (Histogram h);
-      h
-
 let detached_counter () = { count = 0 }
 let detached_gauge () = { value = 0.0 }
 
@@ -75,50 +39,11 @@ let incr c = c.count <- c.count + 1
 let add c k = c.count <- c.count + k
 let set g v = g.value <- v
 
-let observe h v =
-  let nb = Array.length h.bounds in
-  let rec bucket i = if i >= nb || v <= h.bounds.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
-  h.counts.(i) <- h.counts.(i) + 1;
-  h.n <- h.n + 1;
-  h.sum <- h.sum +. v;
-  if v > h.hmax then h.hmax <- v
-
-(* The bucket holding the sample at [Report.rank]: when every sample sits
-   exactly on a bucket bound, the estimate equals [Report.percentile]. *)
-let percentile_of h q =
-  if h.n = 0 then 0.0
-  else begin
-    let rank = Report.rank ~n:h.n q + 1 in
-    let nb = Array.length h.bounds in
-    let rec go i cum =
-      if i >= nb then h.hmax
-      else
-        let cum = cum + h.counts.(i) in
-        if cum >= rank then Float.min h.bounds.(i) h.hmax else go (i + 1) cum
-    in
-    go 0 0
-  end
-
 let counter_value t name =
   match Hashtbl.find_opt t name with Some (Counter c) -> c.count | _ -> 0
 
 let gauge_value t name =
   match Hashtbl.find_opt t name with Some (Gauge g) -> g.value | _ -> 0.0
-
-let summary t name =
-  match Hashtbl.find_opt t name with
-  | Some (Histogram h) ->
-      Some
-        {
-          Report.n = h.n;
-          mean = (if h.n = 0 then 0.0 else h.sum /. float_of_int h.n);
-          p50 = percentile_of h 0.50;
-          p75 = percentile_of h 0.75;
-          p99 = percentile_of h 0.99;
-          max = h.hmax;
-        }
-  | _ -> None
 
 let names t = List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])
 
@@ -131,15 +56,7 @@ let merge_into ~dst src =
           (* gauges aggregate by summation across nodes (e.g. total memo-table
              entries network-wide) *)
           let d = gauge dst name in
-          d.value <- d.value +. g.value
-      | Histogram h ->
-          let d = histogram ~bounds:h.bounds dst name in
-          if d.bounds <> h.bounds then
-            invalid_arg ("Registry.merge_into: bucket bounds differ for " ^ name);
-          Array.iteri (fun i c -> d.counts.(i) <- d.counts.(i) + c) h.counts;
-          d.n <- d.n + h.n;
-          d.sum <- d.sum +. h.sum;
-          if h.hmax > d.hmax then d.hmax <- h.hmax)
+          d.value <- d.value +. g.value)
     src
 
 let merge regs =

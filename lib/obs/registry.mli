@@ -1,54 +1,35 @@
-(** Per-node metric registry: counters, gauges and fixed-bucket histograms
-    keyed by dotted names ("scp.ballot.prepare", "ledger.apply_ms", ...).
+(** Per-node metric registry: counters and gauges keyed by dotted names
+    ("scp.ballot.prepare", "herder.queue.size", ...).
 
     Registering a name twice returns the same handle; registering it with a
     different metric kind raises [Invalid_argument].  Registries from many
-    nodes aggregate with {!merge} (counters and histograms add; gauges sum).
+    nodes aggregate with {!merge} (counters add; gauges sum).
 
-    Handles ([counter], [gauge], [histogram]) are plain mutable records so
-    hot paths pay a field update, not a hash lookup. *)
+    Handles ([counter], [gauge]) are plain mutable records so hot paths pay
+    a field update, not a hash lookup. *)
 
 type t
 
 type counter
 type gauge
-type histogram
 
 val create : unit -> t
 
 val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 
-val histogram : ?bounds:float array -> t -> string -> histogram
-(** [bounds] are sorted bucket upper bounds; an overflow bucket is implicit.
-    Default: {!default_bounds}. *)
-
-val default_bounds : float array
-(** 100 µs … 60 s in a 1–2.5–5 progression — the latency range of §7. *)
-
 val detached_counter : unit -> counter
 val detached_gauge : unit -> gauge
-(** Handles registered nowhere: what a disabled {!Sink} resolves names
-    to, so writers need no branch and nothing is recorded. *)
+(** Handles registered nowhere: what {!Sink.null} resolves names to, so
+    writers need no branch and nothing is recorded. *)
 
 val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> float -> unit
-val observe : histogram -> float -> unit
 
-val percentile_of : histogram -> float -> float
-(** Estimate at the {!Report.rank} index from the bucket counts: the upper
-    bound of the bucket holding that sample, clipped to the observed max.
-    Samples placed exactly on bucket bounds reproduce
-    {!Report.percentile}. *)
-
-(* Read-side: value lookups by name (0 / 0.0 / None when absent). *)
+(* Read-side: value lookups by name (0 / 0.0 when absent). *)
 val counter_value : t -> string -> int
 val gauge_value : t -> string -> float
-
-val summary : t -> string -> Report.quantiles option
-(** The histogram's bucket estimate in the same record {!Report.quantiles}
-    computes exactly; [mean] is the exact running sum over [n]. *)
 
 val names : t -> string list
 (** Sorted. *)

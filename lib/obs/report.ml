@@ -9,8 +9,8 @@ type phases = {
 (* Deterministic model of tx-set application cost, used for the phase
    breakdown so that trace-derived reports are reproducible bit-for-bit
    (real CPU time is not).  Calibrated to the measured in-memory apply
-   times: ~0.2 ms fixed + ~20 us per operation.  Real CPU time still flows
-   into the "ledger.apply_ms" histogram via the herder. *)
+   times: ~0.2 ms fixed + ~20 us per operation.  The herder reports real
+   CPU time separately, as [ledger_stats.apply_s]. *)
 let default_apply_cost ~txs:_ ~ops = 0.0002 +. (2.0e-5 *. float_of_int ops)
 
 type slot_acc = {
@@ -68,8 +68,7 @@ let slot_phases ?(node = 0) ?(apply_cost = default_apply_cost) trace =
 
 (* Index of the [q]-quantile among [n] sorted samples: floor(q·(n−1)),
    clamped.  Between two samples it takes the lower one, so the p99 of two
-   samples is the smaller.  [Registry.percentile_of] ranks its buckets with
-   it too. *)
+   samples is the smaller. *)
 let rank ~n q = max 0 (min (n - 1) (int_of_float (q *. float_of_int (n - 1))))
 
 let sorted values =

@@ -15,8 +15,8 @@ type phases = {
 
 val default_apply_cost : txs:int -> ops:int -> float
 (** Deterministic apply-cost model (~0.2 ms + 20 µs/op) used in place of
-    measured CPU time so the breakdown is reproducible; real CPU time is
-    reported separately through the "ledger.apply_ms" histogram. *)
+    measured CPU time so the breakdown is reproducible; the herder reports
+    real CPU time separately, as [Herder.ledger_stats.apply_s]. *)
 
 val slot_phases :
   ?node:int -> ?apply_cost:(txs:int -> ops:int -> float) -> Trace.t -> phases list
@@ -33,8 +33,7 @@ val percentile : float list -> float -> float
 (** Exact percentile of unsorted samples at {!rank}; 0 for no samples. *)
 
 type quantiles = { n : int; mean : float; p50 : float; p75 : float; p99 : float; max : float }
-(** The one summary record: exact here, bucket estimates in
-    {!Registry.summary}.  [mean] is the sum in input order over [n]. *)
+(** The one summary record.  [mean] is the sum in input order over [n]. *)
 
 val quantiles : float list -> quantiles
 (** Sorts once; all zero for no samples. *)

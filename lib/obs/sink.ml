@@ -1,31 +1,28 @@
 type t = {
-  enabled : bool;
   node : int;
   now : unit -> float;
   metrics : Registry.t;
+  counts : bool;  (* false only for [null] *)
   trace : Trace.t option;
 }
 
 let null =
-  { enabled = false; node = -1; now = (fun () -> 0.0); metrics = Registry.create (); trace = None }
+  { node = -1; now = (fun () -> 0.0); metrics = Registry.create (); counts = false; trace = None }
 
-let make ?trace ~node ~now metrics = { enabled = true; node; now; metrics; trace }
+let make ?trace ~node ~now metrics = { node; now; metrics; counts = true; trace }
 
-let enabled t = t.enabled
-let node t = t.node
+let enabled t = Option.is_some t.trace
 let metrics t = t.metrics
-let now t = t.now ()
 
 let emit t ev =
   match t.trace with
-  | Some tr when t.enabled ->
+  | Some tr ->
       if not (Trace.try_record tr ~time:(t.now ()) ~node:t.node ev) then
         (* cold path: only taken once the trace hit its capacity bound *)
         Registry.incr (Registry.counter t.metrics "obs.trace.dropped")
-  | _ -> ()
+  | None -> ()
 
 let counter t name =
-  if t.enabled then Registry.counter t.metrics name else Registry.detached_counter ()
+  if t.counts then Registry.counter t.metrics name else Registry.detached_counter ()
 
-let gauge t name = if t.enabled then Registry.gauge t.metrics name else Registry.detached_gauge ()
-let observe t name v = if t.enabled then Registry.observe (Registry.histogram t.metrics name) v
+let gauge t name = if t.counts then Registry.gauge t.metrics name else Registry.detached_gauge ()

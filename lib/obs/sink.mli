@@ -1,27 +1,28 @@
 (** The instrumentation hook handed to every subsystem.
 
-    A sink binds a node id and a (simulated-)time source to a metric
-    {!Registry.t} and an optional shared {!Trace.t}.  Counters and gauges
-    are written through {!Registry} handles that a subsystem resolves once,
-    where its sink is fixed; a disabled sink resolves every name to a
-    detached handle, so writes need no branch and record nothing.  The
-    {!null} sink is disabled: {!emit} and {!observe} are a single boolean
-    test.  Call sites that build event payloads, or compute a gauge value
-    at some cost, should still guard with {!enabled}. *)
+    A sink binds a node id and a (simulated-)time source to that node's
+    metric {!Registry.t} and an optional shared {!Trace.t}.  A node's sink
+    always counts: counters and gauges are written through {!Registry}
+    handles a subsystem resolves once, observed or not.  The trace is what
+    observing adds: {!enabled} means "has a trace", and call sites guard
+    every {!emit} payload with it, so an unobserved run builds no events.
+
+    {!null} is for code run outside a node (unit tests, archive replay,
+    probes): it resolves every name to a detached handle, so writes need no
+    branch, record nothing, and its registry stays empty. *)
 
 type t
 
 val null : t
-(** Disabled sink: all operations are no-ops. *)
+(** No trace, and counts go nowhere. *)
 
 val make : ?trace:Trace.t -> node:int -> now:(unit -> float) -> Registry.t -> t
-(** An enabled sink.  Without [trace], metrics are recorded but no events
-    (the mode the network uses for its always-on byte accounting). *)
+(** A node's sink over its registry; [trace] makes it {!enabled}. *)
 
 val enabled : t -> bool
-val node : t -> int
+(** The sink has a trace: event payloads are worth building. *)
+
 val metrics : t -> Registry.t
-val now : t -> float
 
 val emit : t -> Event.t -> unit
 (** Stamp with node and current time, append to the trace (if any).  When
@@ -30,8 +31,5 @@ val emit : t -> Event.t -> unit
 
 val counter : t -> string -> Registry.counter
 val gauge : t -> string -> Registry.gauge
-(** Resolve a name once.  A disabled sink returns a fresh detached handle
-    and leaves its registry empty. *)
-
-val observe : t -> string -> float -> unit
-(** Histogram sample, looked up by name: it runs once per ledger. *)
+(** Resolve a name once.  {!null} returns a fresh detached handle and
+    leaves its registry empty. *)

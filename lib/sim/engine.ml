@@ -6,10 +6,10 @@ type t = {
   mutable clock : float;
   mutable next_seq : int;
   queue : event Heap.t;
-  mutable obs : Stellar_obs.Sink.t;
-  mutable c_fired : Stellar_obs.Registry.counter;
-  mutable c_cancelled : Stellar_obs.Registry.counter;
-  mutable g_pending : Stellar_obs.Registry.gauge;
+  registry : Stellar_obs.Registry.t;
+  c_fired : Stellar_obs.Registry.counter;
+  c_cancelled : Stellar_obs.Registry.counter;
+  g_pending : Stellar_obs.Registry.gauge;
 }
 
 let compare_event a b =
@@ -17,22 +17,18 @@ let compare_event a b =
   if c <> 0 then c else Int.compare a.seq b.seq
 
 let create () =
+  let registry = Stellar_obs.Registry.create () in
   {
     clock = 0.0;
     next_seq = 0;
     queue = Heap.create ~cmp:compare_event;
-    obs = Stellar_obs.Sink.null;
-    c_fired = Stellar_obs.Registry.detached_counter ();
-    c_cancelled = Stellar_obs.Registry.detached_counter ();
-    g_pending = Stellar_obs.Registry.detached_gauge ();
+    registry;
+    c_fired = Stellar_obs.Registry.counter registry "sim.events.fired";
+    c_cancelled = Stellar_obs.Registry.counter registry "sim.events.cancelled";
+    g_pending = Stellar_obs.Registry.gauge registry "sim.queue.pending";
   }
 
-let set_obs t obs =
-  t.obs <- obs;
-  t.c_fired <- Stellar_obs.Sink.counter obs "sim.events.fired";
-  t.c_cancelled <- Stellar_obs.Sink.counter obs "sim.events.cancelled";
-  t.g_pending <- Stellar_obs.Sink.gauge obs "sim.queue.pending"
-
+let registry t = t.registry
 let now t = t.clock
 
 let schedule_at t ~time fire =
@@ -56,8 +52,6 @@ let step t =
          Stellar_obs.Registry.incr t.c_fired;
          ev.timer.fire ()
        end);
-      if Stellar_obs.Sink.enabled t.obs then
-        Stellar_obs.Registry.set t.g_pending (float_of_int (Heap.size t.queue));
       true
 
 let run ?until t =
@@ -71,6 +65,7 @@ let run ?until t =
             t.clock <- limit;
             continue := false
         | _ -> ignore (step t))
-  done
+  done;
+  Stellar_obs.Registry.set t.g_pending (float_of_int (Heap.size t.queue))
 
 let pending t = Heap.size t.queue

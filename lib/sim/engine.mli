@@ -12,10 +12,10 @@ type timer
 
 val create : unit -> t
 
-val set_obs : t -> Stellar_obs.Sink.t -> unit
-(** Attach an observability sink (set after creation because sinks usually
-    need this engine's clock).  An enabled sink counts [sim.events.fired] /
-    [sim.events.cancelled] and tracks the [sim.queue.pending] gauge. *)
+val registry : t -> Stellar_obs.Registry.t
+(** The engine's own counters, kept in every run: [sim.events.fired],
+    [sim.events.cancelled], and the [sim.queue.pending] gauge (events
+    still queued when {!run} last returned). *)
 
 val now : t -> float
 (** Current virtual time in seconds. *)

@@ -34,7 +34,8 @@ type 'msg t = {
   mutable next_msg_id : int;
 }
 
-let node_obs_of registry =
+let node_obs () =
+  let registry = Obs.Registry.create () in
   {
     registry;
     c_msgs_sent = Obs.Registry.counter registry "overlay.msgs.sent";
@@ -43,15 +44,7 @@ let node_obs_of registry =
     c_bytes_received = Obs.Registry.counter registry "overlay.bytes.received";
   }
 
-let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =
-  let registry_of i =
-    match obs with
-    | Some f -> Obs.Sink.metrics (f i)
-    | None ->
-        (* a private registry: byte/message accounting is part of the
-           network's API and stays on even when tracing is off *)
-        Obs.Registry.create ()
-  in
+let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) () =
   {
     engine;
     rng;
@@ -60,7 +53,7 @@ let create ~engine ~rng ~n ~latency ?(processing = fun _ -> 0.0) ?obs () =
     busy_until = Array.make n 0.0;
     handlers = Array.make n None;
     down = Array.make n false;
-    node_obs = Array.init n (fun i -> node_obs_of (registry_of i));
+    node_obs = Array.init n (fun _ -> node_obs ());
     partition = (fun _ -> 0);
     loss_rate = 0.0;
     next_msg_id = 0;

@@ -25,7 +25,6 @@ val create :
   n:int ->
   latency:Latency.t ->
   ?processing:(int -> float) ->
-  ?obs:(int -> Stellar_obs.Sink.t) ->
   unit ->
   'msg t
 (** [processing size] models the receiver's per-message CPU cost
@@ -34,11 +33,9 @@ val create :
     validator count (Fig. 11) — with free message processing it would not.
     Default: no cost.
 
-    [obs] supplies the per-node observability sink; message/byte accounting
-    is kept in each sink's registry under [overlay.msgs.sent],
-    [overlay.msgs.received], [overlay.bytes.sent] and
-    [overlay.bytes.received].  Without [obs] the network still accounts
-    traffic, into private metrics-only registries. *)
+    Message/byte accounting is kept in each node's {!registry} under
+    [overlay.msgs.sent], [overlay.msgs.received], [overlay.bytes.sent] and
+    [overlay.bytes.received]. *)
 
 val size : 'msg t -> int
 val engine : 'msg t -> Engine.t
@@ -74,7 +71,7 @@ val set_loss_rate : 'msg t -> float -> unit
 (** Independent per-message drop probability. *)
 
 val registry : 'msg t -> int -> Stellar_obs.Registry.t
-(** The registry backing node [i]'s traffic counters (the one from [obs]
-    when supplied at {!create}).  It always counts, observed or not, so
-    subsystems keep their own always-on counters here too (the validator's
-    [flood.*] and [fault.*]). *)
+(** Node [i]'s one registry.  It counts whether or not the run is
+    observed: the network's traffic counters and every subsystem of the
+    validator at index [i] ([flood.*], [fault.*], [validator.*],
+    [herder.*], [scp.*], [ledger.*], [bucket.*]) count here. *)

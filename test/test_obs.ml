@@ -35,52 +35,37 @@ let test_merge () =
   Obs.Registry.add (Obs.Registry.counter b "c") 4;
   Obs.Registry.set (Obs.Registry.gauge a "g") 1.5;
   Obs.Registry.set (Obs.Registry.gauge b "g") 2.5;
-  Obs.Registry.observe (Obs.Registry.histogram a "h") 0.01;
-  Obs.Registry.observe (Obs.Registry.histogram b "h") 0.02;
   let m = Obs.Registry.merge [ a; b ] in
   Alcotest.(check int) "counters add" 7 (Obs.Registry.counter_value m "c");
-  Alcotest.(check (float 1e-9)) "gauges sum" 4.0 (Obs.Registry.gauge_value m "g");
-  match Obs.Registry.summary m "h" with
-  | Some s -> Alcotest.(check int) "histogram counts add" 2 s.Obs.Report.n
-  | None -> Alcotest.fail "merged histogram missing"
+  Alcotest.(check (float 1e-9)) "gauges sum" 4.0 (Obs.Registry.gauge_value m "g")
 
-(* Histogram percentile estimates agree exactly with the exact
-   Report.percentile when every sample sits on a bucket bound (the estimate
-   is the bucket's upper bound at the same Report.rank index), so the
-   histogram summary equals the exact one. *)
-let test_histogram_percentiles () =
-  let bounds = Obs.Registry.default_bounds in
-  let r = Obs.Registry.create () in
-  let h = Obs.Registry.histogram r "lat" in
-  let samples = ref [] in
-  (* an uneven spread over the bound values, including repeats *)
-  Array.iteri
-    (fun i b ->
-      let reps = 1 + (i mod 4) in
-      for _ = 1 to reps do
-        Obs.Registry.observe h b;
-        samples := b :: !samples
-      done)
-    bounds;
-  let samples = List.rev !samples in
+(* The one rank rule: the sample at floor(q·(n−1)) of the sorted samples,
+   no interpolation.  43 samples, an uneven spread with repeats over 18
+   values (value i repeated 1 + i mod 4 times); the ranks 0, 21, 31, 37,
+   41 and 42 land on values 0, 9, 13, 15, 17 and 17. *)
+let test_report_percentiles () =
+  let values =
+    [|
+      0.0001; 0.00025; 0.0005; 0.001; 0.0025; 0.005; 0.01; 0.025; 0.05; 0.1; 0.25;
+      0.5; 1.0; 2.5; 5.0; 10.0; 25.0; 60.0;
+    |]
+  in
+  let samples =
+    List.concat (List.init (Array.length values) (fun i -> List.init (1 + (i mod 4)) (fun _ -> values.(i))))
+  in
   List.iter
-    (fun q ->
-      let exact = Obs.Report.percentile samples q in
-      let est = Obs.Registry.percentile_of h q in
-      Alcotest.(check (float 1e-12))
+    (fun (q, want) ->
+      Alcotest.(check (float 0.0))
         (Printf.sprintf "p%.0f" (q *. 100.0))
-        exact est)
-    [ 0.0; 0.5; 0.75; 0.9; 0.99; 1.0 ];
-  Alcotest.(check bool)
-    "Registry.summary = Report.quantiles" true
-    (Obs.Registry.summary r "lat" = Some (Obs.Report.quantiles samples));
+        want (Obs.Report.percentile samples q))
+    [ (0.0, 0.0001); (0.5, 0.1); (0.75, 2.5); (0.9, 10.0); (0.99, 60.0); (1.0, 60.0) ];
+  let s = Obs.Report.quantiles samples in
+  Alcotest.(check (list (float 0.0)))
+    "Report.quantiles uses the same rank" [ 43.0; 0.1; 2.5; 60.0; 60.0 ]
+    [ float_of_int s.Obs.Report.n; s.p50; s.p75; s.p99; s.max ];
   (* no interpolation: floor(0.99 * (2 - 1)) = 0, the smaller sample *)
-  let two = Obs.Registry.histogram r "two" in
-  List.iter (Obs.Registry.observe two) [ 0.5; 0.001 ];
   Alcotest.(check (float 0.0)) "p99 of two samples" 0.001
-    (Obs.Report.percentile [ 0.5; 0.001 ] 0.99);
-  Alcotest.(check (float 0.0)) "histogram p99 of two samples" 0.001
-    (Obs.Registry.percentile_of two 0.99)
+    (Obs.Report.percentile [ 0.5; 0.001 ] 0.99)
 
 (* ---- null sink is inert ---- *)
 
@@ -89,7 +74,6 @@ let test_null_sink () =
   Obs.Registry.incr (Obs.Sink.counter Obs.Sink.null "c");
   Obs.Registry.add (Obs.Sink.counter Obs.Sink.null "c") 2;
   Obs.Registry.set (Obs.Sink.gauge Obs.Sink.null "g") 1.0;
-  Obs.Sink.observe Obs.Sink.null "h" 1.0;
   Obs.Sink.emit Obs.Sink.null (Obs.Event.Externalize { slot = 1 });
   Alcotest.(check int) "no metrics recorded" 0
     (List.length (Obs.Registry.names (Obs.Sink.metrics Obs.Sink.null)))
@@ -138,6 +122,114 @@ let test_observe_same_accounting () =
   Alcotest.(check int) "bytes_out_total" o.bytes_out_total u.bytes_out_total;
   Alcotest.(check (float 0.0)) "msgs_per_second_per_node" o.msgs_per_second_per_node
     u.msgs_per_second_per_node
+
+(* Four validators built directly on a network under payment load; [trace]
+   is the only difference between twins.  Returns each node's registry. *)
+let validator_registries ?trace () =
+  let module N = Stellar_node in
+  let spec = N.Topology.all_to_all ~n:4 in
+  let engine = Stellar_sim.Engine.create () in
+  let rng = Stellar_sim.Rng.create ~seed:13 in
+  let network =
+    Stellar_sim.Network.create ~engine ~rng ~n:4 ~latency:Stellar_sim.Latency.datacenter ()
+  in
+  let genesis, accounts = N.Genesis.make ~n_accounts:12 () in
+  let vs =
+    Array.init 4 (fun i ->
+        N.Validator.create ~network ~index:i ~peers:(spec.N.Topology.peers_of i)
+          ~config:
+            (Stellar_herder.Herder.default_config ~seed:(spec.N.Topology.validator_seed i)
+               ~qset:(spec.N.Topology.qset_of i))
+          ~genesis ?trace ())
+  in
+  Array.iter N.Validator.start vs;
+  (* one payment per account, spread over the validators and the run *)
+  Array.iteri
+    (fun i (src : N.Genesis.account) ->
+      let dst = accounts.((i + 1) mod Array.length accounts) in
+      let tx =
+        Stellar_ledger.Tx.make ~source:src.public ~seq_num:1
+          [
+            Stellar_ledger.Tx.op
+              (Stellar_ledger.Tx.Payment
+                 { destination = dst.public; asset = Stellar_ledger.Asset.native; amount = 100 });
+          ]
+      in
+      let signed =
+        Stellar_ledger.Tx.sign tx ~secret:src.secret ~public:src.public
+          ~scheme:
+            (module Stellar_crypto.Sim_sig : Stellar_crypto.Sig_intf.SCHEME
+              with type secret = string)
+      in
+      ignore
+        (Stellar_sim.Engine.schedule engine ~delay:(1.0 +. float_of_int i) (fun () ->
+             N.Validator.submit_tx vs.(i mod 4) signed)))
+    accounts;
+  Stellar_sim.Engine.run ~until:30.0 engine;
+  Array.init 4 (Stellar_sim.Network.registry network)
+
+(* A node's registry counts whether or not the run is traced: every
+   subsystem of an untraced validator counts in [Network.registry], and the
+   values equal a traced twin's. *)
+let test_untraced_counts () =
+  let trace = Obs.Trace.create () in
+  let traced = validator_registries ~trace () and untraced = validator_registries () in
+  Alcotest.(check bool) "twin traced" true (Obs.Trace.length trace > 0);
+  let dump reg =
+    List.map
+      (fun name -> (name, Obs.Registry.counter_value reg name, Obs.Registry.gauge_value reg name))
+      (Obs.Registry.names reg)
+  in
+  Array.iteri
+    (fun i reg ->
+      let count = Obs.Registry.counter_value reg in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (Printf.sprintf "node %d counts %s" i name) true (count name > 0))
+        [ "scp.nominate.start"; "scp.ballot.bump"; "scp.ballot.externalize"; "ledger.closed";
+          "ledger.tx.success"; "ledger.ops.applied"; "bucket.merge" ];
+      Alcotest.(check bool)
+        (Printf.sprintf "node %d keeps herder.queue.size" i)
+        true
+        (List.mem "herder.queue.size" (Obs.Registry.names reg));
+      Alcotest.(check (list (triple string int (float 0.0))))
+        (Printf.sprintf "node %d equals its traced twin" i)
+        (dump traced.(i)) (dump reg))
+    untraced
+
+(* Fig. 8's timeouts per ledger come from node 0's [scp.timeout.*]
+   counters.  A short Fig. 8-shaped run (jittered links with frequent
+   spikes, fixed seed) gives these fixed values, observed or not. *)
+let test_fig8_timeouts () =
+  let run observe =
+    let spec = Stellar_node.Topology.all_to_all ~n:4 in
+    Stellar_node.Scenario.run
+      {
+        (Stellar_node.Scenario.default ~spec) with
+        Stellar_node.Scenario.n_accounts = 100;
+        tx_rate = 2.0;
+        duration = 60.0;
+        latency =
+          Stellar_sim.Latency.Jittered { base = 0.04; jitter = 0.12; spike_prob = 0.9; spike = 2.5 };
+        seed = 3;
+        observe;
+      }
+  in
+  let fields (q : Obs.Report.quantiles) = [ float_of_int q.n; q.mean; q.p50; q.p75; q.p99; q.max ] in
+  List.iter
+    (fun observe ->
+      let r = run observe in
+      let label what = Printf.sprintf "%s (observe=%b)" what observe in
+      Alcotest.(check int) (label "ledgers") 12 r.Stellar_node.Scenario.ledgers_closed;
+      Alcotest.(check (list (float 0.0)))
+        (label "nomination timeouts: n mean p50 p75 p99 max")
+        [ 10.0; 1.7; 2.0; 2.0; 2.0; 2.0 ]
+        (fields r.Stellar_node.Scenario.nomination_timeouts_per_ledger);
+      Alcotest.(check (list (float 0.0)))
+        (label "ballot timeouts: n mean p50 p75 p99 max")
+        [ 10.0; 1.1; 1.0; 1.0; 1.0; 2.0 ]
+        (fields r.Stellar_node.Scenario.ballot_timeouts_per_ledger))
+    [ false; true ]
 
 let test_trace_deterministic () =
   let r1 = observed_run 5 and r2 = observed_run 5 in
@@ -601,8 +693,8 @@ let () =
           Alcotest.test_case "counter monotonic" `Quick test_counter_monotonic;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch;
           Alcotest.test_case "merge" `Quick test_merge;
-          Alcotest.test_case "histogram percentiles" `Quick test_histogram_percentiles;
         ] );
+      ("report", [ Alcotest.test_case "percentile rank rule" `Quick test_report_percentiles ]);
       ( "sink",
         [
           Alcotest.test_case "null sink" `Quick test_null_sink;
@@ -614,6 +706,10 @@ let () =
           Alcotest.test_case "trace byte-identical" `Quick test_trace_deterministic;
           Alcotest.test_case "observed = unobserved accounting" `Quick
             test_observe_same_accounting;
+          Alcotest.test_case "untraced validators count like traced twins" `Quick
+            test_untraced_counts;
+          Alcotest.test_case "fig8 timeouts pinned, observed = unobserved" `Quick
+            test_fig8_timeouts;
           Alcotest.test_case "phase breakdown sane" `Quick test_trace_phases_sane;
           Alcotest.test_case "flood amplification" `Quick test_flood_amplification;
         ] );
